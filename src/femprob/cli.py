@@ -117,9 +117,10 @@ def _emit(out: str, lines: list[str]) -> None:
 
 
 def _run(body):
+    """Run a command body; bad input or an unusable file path exits 2."""
     try:
         body()
-    except FemProbError as exc:
+    except (FemProbError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
 

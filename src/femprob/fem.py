@@ -10,11 +10,11 @@ k+5 points for error norms).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from .errors import ParameterError, SingularSystemError
 from .mesh import Mesh1D
@@ -131,18 +131,19 @@ def assemble_solve(mesh: Mesh1D, order: int, problem: Problem1D) -> FemSolution:
     f_quad = np.asarray(problem.source(x_quad), dtype=np.float64)
     element_loads = lengths[:, None] * ((f_quad * weights) @ values)
 
+    # every shared vertex receives exactly two contributions, so the sums
+    # do not depend on the order of the strided adds below
     load = np.zeros(n_dof)
-    base = np.arange(n_el) * k
-    for j in range(k + 1):
-        np.add.at(load, base + j, element_loads[:, j])
+    load[:-1].reshape(n_el, k)[:] += element_loads[:, :k]
+    load[k::k] += element_loads[:, k]
 
-    # upper banded storage: band[k + i - j, j] = A[i, j] for j-k <= i <= j
+    # upper banded storage: band[k + i - j, j] = A[i, j] for j-k <= i <= j;
+    # row view band[r, j::k] holds local column j of every element
     band = np.zeros((k + 1, n_dof))
     inv_lengths = 1.0 / lengths
     for j in range(k + 1):
-        cols = base + j
         for i in range(j + 1):
-            band[k + i - j, cols] += ref_stiffness[i, j] * inv_lengths
+            band[k + i - j, j::k][:n_el] += ref_stiffness[i, j] * inv_lengths
 
     if n_dof == 2:  # no interior unknowns: the zero boundary data is the answer
         return FemSolution(order=k, mesh=mesh, coefficients=np.zeros(n_dof))
@@ -151,26 +152,51 @@ def assemble_solve(mesh: Mesh1D, order: int, problem: Problem1D) -> FemSolution:
     # boundary row 0 still sit in the first k interior columns of the band
     for j in range(1, k + 1):
         band[k - j, j] = 0.0
-    interior_band = band[:, 1:-1]
-    try:
-        if n_dof == 3:  # single unknown; scipy's tridiagonal path rejects 1x1
-            interior = load[1:2] / interior_band[k, 0]
-        else:
-            interior = solveh_banded(interior_band, load[1:-1], lower=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"stiffness solve failed: {exc}") from exc
+    interior = _solve_interior(band[:, 1:-1], load[1:-1])
 
     coefficients = np.zeros(n_dof)
     coefficients[1:-1] = interior
     return FemSolution(order=k, mesh=mesh, coefficients=coefficients)
 
 
+def _solve_interior(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the SPD interior system held in upper banded storage.
+
+    Calls LAPACK exactly as ``scipy.linalg.solveh_banded(band, rhs)`` does:
+    ``dptsv`` on the diagonals of a tridiagonal band, ``dpbsv`` otherwise.
+    scipy is imported here, so commands that never solve never load it.
+    """
+    if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    k = band.shape[0] - 1
+    if rhs.size == 1:  # single unknown; the tridiagonal path rejects 1x1
+        return rhs / band[k, 0]
+    if k == 1:
+        from scipy.linalg.lapack import dptsv
+
+        _, _, x, info = dptsv(band[1], band[0, 1:], rhs)
+    else:
+        from scipy.linalg.lapack import dpbsv
+
+        _, x, info = dpbsv(band, rhs, lower=0)
+    if info > 0:
+        raise SingularSystemError(
+            f"stiffness solve failed: {info}th leading minor not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of the LAPACK solve")
+    return x
+
+
 def _element_coefficients(solution: FemSolution) -> np.ndarray:
     """Coefficients reshaped to one row of k+1 nodal values per element."""
     k = solution.order
     n_el = solution.mesh.n_elements
-    idx = (np.arange(n_el) * k)[:, None] + np.arange(k + 1)[None, :]
-    return solution.coefficients[idx]
+    coefficients = solution.coefficients
+    out = np.empty((n_el, k + 1))
+    out[:, :k] = coefficients[:-1].reshape(n_el, k)
+    out[:, k] = coefficients[k::k]
+    return out
 
 
 def h1_error(solution: FemSolution, problem: Problem1D) -> tuple[float, float]:
@@ -192,9 +218,9 @@ def h1_error(solution: FemSolution, problem: Problem1D) -> tuple[float, float]:
     diff = uh - np.asarray(problem.exact_solution(x_quad), dtype=np.float64)
     ddiff = duh - np.asarray(problem.exact_derivative(x_quad), dtype=np.float64)
 
-    l2_sq = float(np.sum(lengths * ((diff * diff) @ weights)))
-    semi_sq = float(np.sum(lengths * ((ddiff * ddiff) @ weights)))
-    return float(np.sqrt(l2_sq + semi_sq)), float(np.sqrt(semi_sq))
+    l2_sq = float((lengths * ((diff * diff) @ weights)).sum())
+    semi_sq = float((lengths * ((ddiff * ddiff) @ weights)).sum())
+    return math.sqrt(l2_sq + semi_sq), math.sqrt(semi_sq)
 
 
 def galerkin_residual(solution: FemSolution, problem: Problem1D) -> float:

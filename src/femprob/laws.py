@@ -82,8 +82,17 @@ class ErrorLaw:
         object.__setattr__(self, "constant", _checked_constant(self.constant))
 
     def bound(self, h: float) -> float:
-        """Value of the bound curve at mesh size h."""
-        return self.constant * _checked_h(h) ** self.order
+        """Value of the bound curve at mesh size h; it must be finite."""
+        h = _checked_h(h)
+        try:
+            value = self.constant * h**self.order
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise ParameterError(
+                f"bound {self.constant!r} * h**{self.order} overflows at h = {h!r}"
+            )
+        return value
 
 
 def crossover_h_star(low: ErrorLaw, high: ErrorLaw) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -16,13 +17,15 @@ __all__ = ["Mesh1D", "build_mesh"]
 class Mesh1D:
     """A sorted node set on [0, 1] together with the jitter that produced it.
 
-    ``h_max`` is the largest element diameter, the mesh size every error
-    bound in this package is phrased in.
+    ``gaps`` holds the element diameters (read-only) and ``h_max`` the
+    largest of them, the mesh size every error bound in this package is
+    phrased in.
     """
 
     nodes: np.ndarray
     seed: int
     jitter: float
+    gaps: np.ndarray = field(init=False, repr=False)
     h_max: float = field(init=False)
 
     def __post_init__(self):
@@ -32,18 +35,24 @@ class Mesh1D:
             raise ParameterError("a mesh needs at least two nodes")
         if nodes[0] != 0.0 or nodes[-1] != 1.0:
             raise ParameterError("mesh must span exactly [0, 1]")
-        gaps = np.diff(nodes)
-        if np.any(gaps <= 0.0):
+        gaps = nodes[1:] - nodes[:-1]
+        if not gaps.min() > 0.0:
             raise ParameterError("mesh nodes must be strictly increasing")
+        gaps.flags.writeable = False
+        object.__setattr__(self, "gaps", gaps)
         object.__setattr__(self, "h_max", float(gaps.max()))
 
     @property
     def n_elements(self) -> int:
         return self.nodes.size - 1
 
-    @property
-    def gaps(self) -> np.ndarray:
-        return np.diff(self.nodes)
+
+@lru_cache(maxsize=16)
+def _uniform_nodes(n_elements: int) -> np.ndarray:
+    """Read-only uniform node template; callers copy it before jittering."""
+    nodes = np.linspace(0.0, 1.0, n_elements + 1)
+    nodes.flags.writeable = False
+    return nodes
 
 
 def build_mesh(n_elements: int, jitter: float, seed: int) -> Mesh1D:
@@ -58,7 +67,7 @@ def build_mesh(n_elements: int, jitter: float, seed: int) -> Mesh1D:
         raise ParameterError(f"n_elements must be >= 1, got {n_elements}")
     if not 0.0 <= jitter < 0.5:
         raise ParameterError(f"jitter must lie in [0, 0.5), got {jitter!r}")
-    nodes = np.linspace(0.0, 1.0, n_elements + 1)
+    nodes = _uniform_nodes(n_elements).copy()
     if n_elements > 1 and jitter > 0.0:
         h_uniform = 1.0 / n_elements
         draws = uniforms(derive_key(seed), n_elements - 1)

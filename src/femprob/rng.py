@@ -27,6 +27,10 @@ _MIX_B = 0x94D049BB133111EB
 # float64 has a 53-bit mantissa; top 53 bits of the output map to [0, 1)
 _INV_2_53 = 1.0 / (1 << 53)
 
+# numpy scalars of the constants and shifts, built once rather than per call
+_GOLDEN_U64, _MIX_A_U64, _MIX_B_U64 = map(np.uint64, (_GOLDEN, _MIX_A, _MIX_B))
+_U11, _U27, _U30, _U31 = map(np.uint64, (11, 27, 30, 31))
+
 
 def mix64(x: int) -> int:
     """Scalar splitmix64 finalizer on a 64-bit integer."""
@@ -57,13 +61,19 @@ def uniforms(key: int, count: int, offset: int = 0) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(key) + idx * np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-        z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    # uint64 array arithmetic wraps modulo 2**64 without overflow warnings
+    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    z *= _GOLDEN_U64
+    z += np.uint64(key)
+    z ^= z >> _U30
+    z *= _MIX_A_U64
+    z ^= z >> _U27
+    z *= _MIX_B_U64
+    z ^= z >> _U31
+    z >>= _U11
+    out = z.astype(np.float64)
+    out *= _INV_2_53
+    return out
 
 
 def uniform_at(key: int, index: int) -> float:

@@ -200,7 +200,7 @@ def _superiority_records(
             f"order_low must be < order_high, got {order_low} >= {order_high}"
         )
     if trials < 1:
-        raise InsufficientDataError("trials must be >= 1")
+        raise ParameterError("trials must be >= 1")
     return [
         _superiority_trial(problem, order_low, order_high, n_elements, jitter, seed, t)
         for t in range(trials)
@@ -276,21 +276,42 @@ def superiority_sweep(
     return points, all_records
 
 
+def _non_increasing_fit(values: np.ndarray) -> np.ndarray:
+    """Least-squares non-increasing fit by pool-adjacent-violators.
+
+    Runs of values that rise are pooled into their mean; a value that
+    already continues a non-increasing run is returned unchanged.
+    """
+    blocks: list[list[float]] = []  # [sum, count] per pooled run
+    for value in values:
+        blocks.append([float(value), 1])
+        while len(blocks) > 1 and (
+            blocks[-2][0] / blocks[-2][1] < blocks[-1][0] / blocks[-1][1]
+        ):
+            total, count = blocks.pop()
+            blocks[-1][0] += total
+            blocks[-1][1] += count
+    return np.repeat([total / count for total, count in blocks], [c for _, c in blocks])
+
+
 def estimate_half_crossing(
     h_values: Sequence[float], p_values: Sequence[float]
 ) -> float | None:
     """Mesh size where an empirical probability curve crosses 1/2.
 
-    Scans consecutive grid points for sign changes of p - 1/2 and
-    interpolates linearly in log h; with Monte Carlo noise several
-    crossings can appear, so their geometric mean is returned.  None when
-    the curve never crosses.
+    The superiority probability falls as h grows, so the frequencies are
+    first replaced by their least-squares non-increasing fit (pool-adjacent
+    violators).  Monte Carlo noise near 1/2 at the coarsest meshes then can
+    no longer add spurious crossings.  The fit's sign changes of p - 1/2 are
+    interpolated linearly in log h; a fit that touches 1/2 on several grid
+    points yields several crossings, and their geometric mean is returned.
+    None when the curve never crosses.
     """
     if len(h_values) != len(p_values):
         raise ParameterError("h_values and p_values must have equal length")
     order = np.argsort(h_values)
     h = np.asarray(h_values, dtype=np.float64)[order]
-    p = np.asarray(p_values, dtype=np.float64)[order]
+    p = _non_increasing_fit(np.asarray(p_values, dtype=np.float64)[order])
     crossings = []
     for i in range(len(h) - 1):
         d0, d1 = p[i] - 0.5, p[i + 1] - 0.5

@@ -201,6 +201,25 @@ class TestConfigFile:
         result = run_cli("law", "--config", config, expect=2)
         assert "key=value" in result.stderr
 
+    def test_out_into_missing_directory_diagnosed(self, tmp_path):
+        result = run_cli(
+            "law", "--ck", 1, "--k", 1, "--cm", 2, "--m", 2,
+            "--h-min", 0.1, "--h-max", 1, "--out", tmp_path / "missing" / "law.csv",
+            expect=2,
+        )
+        assert result.stderr.startswith("error:")
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert "Traceback" not in result.stderr
+
     def test_missing_required_parameter(self):
         result = run_cli("law", "--ck", 1, "--k", 1, "--cm", 2, expect=2)
         assert "missing required parameter --m" in result.stderr
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is needed only by the stiffness solve, not by `law` or `mc`
+    code = "import sys, femprob.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 from femprob import (
     ParameterError,
+    Problem1D,
     assemble_solve,
     build_mesh,
     galerkin_residual,
     get_problem,
     h1_error,
 )
+from femprob.fem import _ASSEMBLY_EXTRA_POINTS, _reference_element
 
 SINE = get_problem("sine")
 POLY2 = get_problem("poly2")
@@ -55,6 +58,41 @@ def dense_solve_oracle(mesh, order, problem, n_quad=24):
     return solution
 
 
+def solveh_banded_reference(mesh, order, problem):
+    """The scatter-and-solveh_banded assembly the fast path must reproduce.
+
+    Same floating-point operations as `assemble_solve`, reached through
+    `np.add.at` scatters and scipy's `solveh_banded` wrapper.
+    """
+    k = order
+    points, weights, values, _, ref_stiffness = _reference_element(
+        k, _ASSEMBLY_EXTRA_POINTS
+    )
+    lengths = np.diff(mesh.nodes)
+    n_el = mesh.n_elements
+    n_dof = n_el * k + 1
+    x_quad = mesh.nodes[:-1, None] + lengths[:, None] * points[None, :]
+    element_loads = lengths[:, None] * ((problem.source(x_quad) * weights) @ values)
+    load = np.zeros(n_dof)
+    band = np.zeros((k + 1, n_dof))
+    inv_lengths = 1.0 / lengths
+    base = np.arange(n_el) * k
+    for j in range(k + 1):
+        np.add.at(load, base + j, element_loads[:, j])
+        for i in range(j + 1):
+            band[k + i - j, base + j] += ref_stiffness[i, j] * inv_lengths
+    coefficients = np.zeros(n_dof)
+    if n_dof == 2:
+        return coefficients
+    for j in range(1, k + 1):
+        band[k - j, j] = 0.0
+    if n_dof == 3:
+        coefficients[1] = load[1] / band[k, 1]
+    else:
+        coefficients[1:-1] = solveh_banded(band[:, 1:-1], load[1:-1], lower=False)
+    return coefficients
+
+
 class TestAssembleSolve:
     def test_quadratic_contained_in_p2(self):
         mesh = build_mesh(4, 0.35, seed=5)
@@ -87,6 +125,24 @@ class TestAssembleSolve:
         banded = assemble_solve(mesh, order, SINE).coefficients
         dense = dense_solve_oracle(mesh, order, SINE)
         np.testing.assert_allclose(banded, dense, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17])
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_bit_identical_to_solveh_banded_reference(self, order, n, jitter):
+        mesh = build_mesh(n, jitter, seed=order * 1000 + n)
+        fast = assemble_solve(mesh, order, SINE).coefficients
+        assert np.array_equal(fast, solveh_banded_reference(mesh, order, SINE))
+
+    def test_nan_source_rejected(self):
+        nan_source = Problem1D(
+            name="nan-source",
+            exact_solution=SINE.exact_solution,
+            exact_derivative=SINE.exact_derivative,
+            source=lambda x: np.full_like(x, np.nan),
+        )
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            assemble_solve(build_mesh(6, 0.2, seed=3), 2, nan_source)
 
     @pytest.mark.parametrize("order", [1, 2, 4, 7, 10])
     def test_galerkin_residual_small(self, order):

@@ -65,6 +65,12 @@ class TestErrorLaw:
         law = ErrorLaw(2, 3.0)
         assert law.bound(0.5) == 3.0 * 0.25
 
+    def test_bound_overflow_rejected(self):
+        with pytest.raises(ParameterError, match="overflows"):
+            ErrorLaw(3, 1.0).bound(1e200)
+        with pytest.raises(ParameterError, match="overflows"):
+            ErrorLaw(1, 1e300).bound(1e10)
+
 
 class TestCrossover:
     def test_direct_substitution(self):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femprob import Mesh1D, ParameterError, build_mesh
+from femprob.mesh import _uniform_nodes
 
 
 class TestBuildMesh:
@@ -47,6 +48,14 @@ class TestBuildMesh:
         b = build_mesh(57, 0.45, seed=77)
         np.testing.assert_array_equal(a.nodes, b.nodes)
 
+    def test_jitter_leaves_uniform_template_untouched(self):
+        jittered = build_mesh(8, 0.3, seed=5)
+        assert not np.array_equal(jittered.nodes, np.linspace(0.0, 1.0, 9))
+        np.testing.assert_array_equal(_uniform_nodes(8), np.linspace(0.0, 1.0, 9))
+        np.testing.assert_array_equal(
+            build_mesh(8, 0.0, seed=5).nodes, np.linspace(0.0, 1.0, 9)
+        )
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
             build_mesh(0, 0.1, 1)
@@ -64,6 +73,12 @@ class TestMesh1DValidation:
     def test_rejects_unsorted_nodes(self):
         with pytest.raises(ParameterError):
             Mesh1D(nodes=np.array([0.0, 0.7, 0.3, 1.0]), seed=0, jitter=0.0)
+
+    def test_gaps_are_read_only(self):
+        mesh = build_mesh(5, 0.2, seed=3)
+        np.testing.assert_array_equal(mesh.gaps, np.diff(mesh.nodes))
+        with pytest.raises(ValueError):
+            mesh.gaps[0] = 0.5
 
     def test_recomputes_h_max(self):
         mesh = Mesh1D(nodes=np.array([0.0, 0.1, 0.6, 1.0]), seed=0, jitter=0.4)

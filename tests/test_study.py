@@ -1,5 +1,7 @@
 """Convergence studies, constant fits, and superiority experiments."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,12 @@ class TestEmpiricalSuperiority:
         with pytest.raises(ParameterError):
             empirical_superiority(SINE, 2, 2, 8, trials=4, jitter=0.1, seed=0)
 
+    def test_rejects_nonpositive_trials(self):
+        with pytest.raises(ParameterError, match="trials"):
+            empirical_superiority(SINE, 1, 2, 8, trials=0, jitter=0.1, seed=0)
+        with pytest.raises(ParameterError, match="trials"):
+            superiority_sweep(SINE, 1, 2, [4, 8], trials=0, jitter=0.1, seed=0)
+
     def test_sweep_shapes(self):
         points, records = superiority_sweep(
             SINE, 1, 2, [4, 8], trials=6, jitter=0.2, seed=9
@@ -152,6 +160,31 @@ class TestHalfCrossing:
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             estimate_half_crossing([0.1, 0.2], [0.5])
+
+    def test_coarse_mesh_noise_adds_no_crossing(self):
+        # README compare sweep (sine24, P1/P2, 200 pairs, jitter 0.3) at seed
+        # 86264415: p(n=2) lands above 1/2 by chance.  Counting its n=2->3
+        # "crossing" put the estimate at 0.418, a factor 2.07 from the fitted
+        # h* = 0.2014; only the n=6 -> n=4 transition is real.
+        h = [0.5721187627647645, 0.40484245224603677, 0.31434775220907424,
+             0.21920158505570186, 0.1668794568734161, 0.11570701803902597,
+             0.08801466099266125, 0.06031528008078709, 0.045764894087345666,
+             0.031048625605573595, 0.023547163697047548, 0.015878299888189246]
+        p = [0.525, 0.205, 0.495, 0.925, 0.97, 0.995, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]
+        d0, d1 = 0.925 - 0.5, 0.495 - 0.5
+        frac = d0 / (d0 - d1)
+        n4_to_n6 = math.exp(math.log(h[3]) + frac * (math.log(h[2]) - math.log(h[3])))
+        crossing = estimate_half_crossing(h, p)
+        assert crossing == pytest.approx(n4_to_n6, rel=1e-12)
+        assert crossing / 0.2014292578222409 < 1.6
+
+    def test_monotone_curve_is_interpolated_unchanged(self):
+        h = [0.1, 0.2, 0.4, 0.8]
+        p = [0.9, 0.7, 0.3, 0.1]
+        d0, d1 = 0.7 - 0.5, 0.3 - 0.5
+        frac = d0 / (d0 - d1)
+        expected = math.exp(math.log(0.2) + frac * (math.log(0.4) - math.log(0.2)))
+        assert estimate_half_crossing(h, p) == expected
 
 
 class TestRecordCsv:
