@@ -16,7 +16,6 @@ from .errors import (
     FemProbError,
     InsufficientDataError,
     ParameterError,
-    SingularSystemError,
     UnsupportedProblemError,
 )
 from .laws import (
@@ -62,7 +61,6 @@ __all__ = [
     "FemProbError",
     "ParameterError",
     "InsufficientDataError",
-    "SingularSystemError",
     "UnsupportedProblemError",
     "ErrorLaw",
     "ElementPair",

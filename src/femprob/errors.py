@@ -13,9 +13,5 @@ class InsufficientDataError(FemProbError):
     """Not enough data to produce a meaningful estimate or fit."""
 
 
-class SingularSystemError(FemProbError):
-    """The assembled linear system is singular (degenerate mesh)."""
-
-
 class UnsupportedProblemError(FemProbError, KeyError):
     """Unknown problem name, or a closed-form quantity is not registered."""

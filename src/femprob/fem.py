@@ -1,11 +1,14 @@
-"""Arbitrary-order 1D Lagrange finite elements for -u'' = f on (0, 1).
+"""Arbitrary-order 1D finite elements for -u'' = f on (0, 1).
 
-Galerkin assembly on an affine mesh with equispaced nodal basis functions of
-degree k per element, Gauss-Legendre quadrature, and a symmetric banded
-direct solve.  Degrees 1 through 10 are supported; the quadrature orders are
-fixed so that integration error sits well below discretization error across
-that range (k+3 points for assembly, exact for the stiffness integrands;
-k+5 points for error norms).
+Galerkin solve in the hierarchical integrated-Legendre (Lobatto) basis: per
+element the two vertex hats plus bubbles of degree 2..k, with Gauss-Legendre
+quadrature.  The bubbles are stiffness-orthogonal to the hats and to each
+other, so the global system is the P1 second difference plus a diagonal;
+two running sums solve the first and a scaling the second (Szabo & Babuska,
+*Finite Element Analysis*, 1991, ch. 3).  Degrees 1 through 10 are
+supported; the quadrature orders are fixed so that integration error sits
+well below discretization error across that range (k+3 points for the
+loads; k+5 points for error norms).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError, SingularSystemError
+from .errors import ParameterError
 from .mesh import Mesh1D
 from .problems import Problem1D
 
@@ -30,26 +33,48 @@ _ERROR_EXTRA_POINTS = 5  # k + 5 Gauss points for the H1 error integrals
 
 @dataclass(frozen=True)
 class FemSolution:
-    """Nodal coefficients of one Galerkin solve.
+    """One Galerkin solve in the Lobatto basis.
 
-    Degrees of freedom are global Lagrange nodes in left-to-right order,
-    k+1 per element with shared endpoints: element e owns indices
-    e*k .. e*k + k.  Boundary coefficients are pinned at zero.
+    ``slopes[e]`` is the slope of u_h's vertex interpolant on element e
+    (the mean of u_h' there); ``bubbles[e, j - 2]`` is the coefficient of
+    bubble j.  Vertex values follow from u(0) = 0 as a running sum of
+    slope times element length.
     """
 
     order: int
     mesh: Mesh1D
-    coefficients: np.ndarray
+    slopes: np.ndarray
+    bubbles: np.ndarray
 
     def __post_init__(self):
-        expected = self.mesh.n_elements * self.order + 1
-        if self.coefficients.shape != (expected,):
+        n_el = self.mesh.n_elements
+        if self.slopes.shape != (n_el,) or self.bubbles.shape != (n_el, self.order - 1):
             raise ParameterError(
-                f"expected {expected} coefficients for order {self.order} on "
-                f"{self.mesh.n_elements} elements, got {self.coefficients.shape}"
+                f"expected {n_el} slopes and {n_el}x{self.order - 1} bubble"
+                f" coefficients for order {self.order}, got {self.slopes.shape}"
+                f" and {self.bubbles.shape}"
             )
-        if self.coefficients[0] != 0.0 or self.coefficients[-1] != 0.0:
-            raise ParameterError("boundary coefficients must be zero")
+
+    def element_values(self) -> np.ndarray:
+        """Per element, the Lobatto coefficients of u_h: both vertex values, then bubbles."""
+        vertices = np.zeros(self.mesh.n_elements + 1)
+        np.cumsum(self.slopes * self.mesh.gaps, out=vertices[1:])
+        return np.column_stack((vertices[:-1], vertices[1:], self.bubbles))
+
+    def element_slopes(self) -> np.ndarray:
+        """Per element, the coefficients of u_h' against 1 and the bubble derivatives."""
+        return np.column_stack((self.slopes, self.bubbles / self.mesh.gaps[:, None]))
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """u_h at the equispaced degree-k Lagrange nodes, boundaries zero.
+
+        Element e owns indices e*k .. e*k + k, shared endpoints included;
+        derived on each access, not stored.
+        """
+        local_values, _ = _lobatto_tables(self.order, np.arange(self.order) / self.order)
+        nodal = self.element_values() @ local_values.T
+        return np.append(nodal.ravel(), 0.0)
 
     def node_coordinates(self) -> np.ndarray:
         """Global coordinates of the nodal degrees of freedom."""
@@ -63,6 +88,24 @@ def _gauss_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre points and weights mapped from [-1, 1] to [0, 1]."""
     points, weights = np.polynomial.legendre.leggauss(n_points)
     return 0.5 * (points + 1.0), 0.5 * weights
+
+
+def _lobatto_tables(order: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and derivatives of the degree-k Lobatto basis at `points`.
+
+    Columns are the hats 1 - t and t, then bubbles j = 2..k with derivative
+    sqrt(2j-1) P_{j-1}(2t-1) and value (P_j - P_{j-2})(2t-1) / (2 sqrt(2j-1)).
+    Each bubble vanishes at both ends and has unit stiffness on [0, 1].
+    """
+    legendre = np.polynomial.legendre.legvander(2.0 * points - 1.0, order)
+    scale = np.sqrt(2.0 * np.arange(2, order + 1) - 1.0)
+    values = np.empty((points.size, order + 1))
+    derivs = np.empty((points.size, order + 1))
+    values[:, 0], values[:, 1] = 1.0 - points, points
+    derivs[:, 0], derivs[:, 1] = -1.0, 1.0
+    values[:, 2:] = (legendre[:, 2:] - legendre[:, :-2]) / (2.0 * scale)
+    derivs[:, 2:] = scale * legendre[:, 1:-1]
+    return values, derivs
 
 
 def _lagrange_tables(order: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,13 +135,11 @@ def _lagrange_tables(order: int, points: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 @lru_cache(maxsize=None)
-def _reference_element(order: int, extra_points: int):
+def _reference_element(order: int, extra_points: int, tables=_lobatto_tables):
     """Per-degree tabulation reused across every element and mesh."""
     points, weights = _gauss_rule(order + extra_points)
-    values, derivs = _lagrange_tables(order, points)
-    # reference stiffness: integral of phi_i' phi_j' over the unit element
-    stiffness = derivs.T @ (weights[:, None] * derivs)
-    return points, weights, values, derivs, stiffness
+    values, derivs = tables(order, points)
+    return points, weights, values, derivs
 
 
 def _checked_order(order: int) -> int:
@@ -111,81 +152,29 @@ def _checked_order(order: int) -> int:
 
 
 def assemble_solve(mesh: Mesh1D, order: int, problem: Problem1D) -> FemSolution:
-    """Galerkin solution of -u'' = f with degree-`order` Lagrange elements.
+    """Galerkin solution of -u'' = f with degree-`order` elements.
 
-    The global stiffness matrix has half-bandwidth `order` in nodal
-    ordering; after eliminating the two Dirichlet rows it is symmetric
-    positive definite and is factored with a banded Cholesky solve.
+    The hat equation at vertex v reads s_{v-1} - s_v = l(hat_v) for the
+    element slopes s, so the slopes are a constant minus the running sum of
+    the vertex loads; u(1) = 0, i.e. sum_e h_e s_e = 0, fixes the constant.
+    Bubble j of element e decouples: b_ej / h_e = l(phi_ej).
     """
-    order = _checked_order(order)
-    k = order
-    points, weights, values, _, ref_stiffness = _reference_element(
-        k, _ASSEMBLY_EXTRA_POINTS
-    )
+    k = _checked_order(order)
+    points, weights, values, _ = _reference_element(k, _ASSEMBLY_EXTRA_POINTS)
     lengths = mesh.gaps
-    n_el = mesh.n_elements
-    n_dof = n_el * k + 1
 
-    # element loads: f integrated against each basis function
     x_quad = mesh.nodes[:-1, None] + lengths[:, None] * points[None, :]
     f_quad = np.asarray(problem.source(x_quad), dtype=np.float64)
-    element_loads = lengths[:, None] * ((f_quad * weights) @ values)
+    if not np.isfinite(f_quad).all():
+        raise ValueError("source values must not contain infs or NaNs")
+    loads = lengths[:, None] * ((f_quad * weights) @ values)
 
-    # every shared vertex receives exactly two contributions, so the sums
-    # do not depend on the order of the strided adds below
-    load = np.zeros(n_dof)
-    load[:-1].reshape(n_el, k)[:] += element_loads[:, :k]
-    load[k::k] += element_loads[:, k]
-
-    # upper banded storage: band[k + i - j, j] = A[i, j] for j-k <= i <= j;
-    # row view band[r, j::k] holds local column j of every element
-    band = np.zeros((k + 1, n_dof))
-    inv_lengths = 1.0 / lengths
-    for j in range(k + 1):
-        for i in range(j + 1):
-            band[k + i - j, j::k][:n_el] += ref_stiffness[i, j] * inv_lengths
-
-    if n_dof == 2:  # no interior unknowns: the zero boundary data is the answer
-        return FemSolution(order=k, mesh=mesh, coefficients=np.zeros(n_dof))
-
-    # homogeneous Dirichlet rows/columns 0 and n_dof-1 drop out; entries of
-    # boundary row 0 still sit in the first k interior columns of the band
-    for j in range(1, k + 1):
-        band[k - j, j] = 0.0
-    interior = _solve_interior(band[:, 1:-1], load[1:-1])
-
-    coefficients = np.zeros(n_dof)
-    coefficients[1:-1] = interior
-    return FemSolution(order=k, mesh=mesh, coefficients=coefficients)
-
-
-def _solve_interior(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the SPD interior system held in upper banded storage.
-
-    Calls LAPACK exactly as ``scipy.linalg.solveh_banded(band, rhs)`` does:
-    ``dptsv`` on the diagonals of a tridiagonal band, ``dpbsv`` otherwise.
-    scipy is imported here, so commands that never solve never load it.
-    """
-    if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    k = band.shape[0] - 1
-    if rhs.size == 1:  # single unknown; the tridiagonal path rejects 1x1
-        return rhs / band[k, 0]
-    if k == 1:
-        from scipy.linalg.lapack import dptsv
-
-        _, _, x, info = dptsv(band[1], band[0, 1:], rhs)
-    else:
-        from scipy.linalg.lapack import dpbsv
-
-        _, x, info = dpbsv(band, rhs, lower=0)
-    if info > 0:
-        raise SingularSystemError(
-            f"stiffness solve failed: {info}th leading minor not positive definite"
-        )
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of the LAPACK solve")
-    return x
+    vertex_loads = np.zeros(mesh.n_elements)
+    vertex_loads[1:] = loads[:-1, 1] + loads[1:, 0]
+    passed = np.cumsum(vertex_loads)
+    slopes = (lengths @ passed) / lengths.sum() - passed
+    bubbles = lengths[:, None] * loads[:, 2:]
+    return FemSolution(order=k, mesh=mesh, slopes=slopes, bubbles=bubbles)
 
 
 def _element_coefficients(solution: FemSolution) -> np.ndarray:
@@ -204,17 +193,17 @@ def h1_error(solution: FemSolution, problem: Problem1D) -> tuple[float, float]:
 
     Both integrals use k+5 Gauss points per element, enough to keep the
     quadrature contribution orders of magnitude below the error itself
-    for smooth solutions.
+    for smooth solutions.  u_h' is taken from the slopes, not from vertex
+    value differences, which would add a rounding floor on fine meshes.
     """
     k = solution.order
-    points, weights, values, derivs, _ = _reference_element(k, _ERROR_EXTRA_POINTS)
+    points, weights, values, derivs = _reference_element(k, _ERROR_EXTRA_POINTS)
     mesh = solution.mesh
     lengths = mesh.gaps
-    coeffs = _element_coefficients(solution)
 
     x_quad = mesh.nodes[:-1, None] + lengths[:, None] * points[None, :]
-    uh = coeffs @ values.T
-    duh = (coeffs @ derivs.T) / lengths[:, None]
+    uh = solution.element_values() @ values.T
+    duh = solution.element_slopes() @ derivs[:, 1:].T  # d/dt of the hat t is 1
     diff = uh - np.asarray(problem.exact_solution(x_quad), dtype=np.float64)
     ddiff = duh - np.asarray(problem.exact_derivative(x_quad), dtype=np.float64)
 
@@ -226,13 +215,15 @@ def h1_error(solution: FemSolution, problem: Problem1D) -> tuple[float, float]:
 def galerkin_residual(solution: FemSolution, problem: Problem1D) -> float:
     """Max residual of the discrete variational identity over interior DOFs.
 
-    Recomputes load and stiffness action element by element (not through
-    the banded factorization path) and returns
-    max |l(phi_i) - a(u_h, phi_i)| / max |l(phi_i)|; a correct solve
-    leaves only rounding.
+    Recomputes load and stiffness action element by element in the nodal
+    Lagrange basis (not through the Lobatto solve) from the nodal
+    `coefficients`, and returns max |l(phi_i) - a(u_h, phi_i)| / max |l(phi_i)|;
+    a correct solve leaves only rounding.
     """
     k = solution.order
-    points, weights, values, derivs, _ = _reference_element(k, _ASSEMBLY_EXTRA_POINTS)
+    points, weights, values, derivs = _reference_element(
+        k, _ASSEMBLY_EXTRA_POINTS, _lagrange_tables
+    )
     mesh = solution.mesh
     lengths = mesh.gaps
     coeffs = _element_coefficients(solution)
@@ -250,9 +241,5 @@ def galerkin_residual(solution: FemSolution, problem: Problem1D) -> float:
     for j in range(k + 1):
         np.add.at(residual, base + j, element_loads[:, j] - element_actions[:, j])
         np.add.at(load, base + j, element_loads[:, j])
-    if n_dof == 2:
-        return 0.0
-    scale = float(np.abs(load[1:-1]).max())
-    if scale == 0.0:
-        scale = 1.0
-    return float(np.abs(residual[1:-1]).max() / scale)
+    scale = float(np.abs(load[1:-1]).max(initial=0.0)) or 1.0
+    return float(np.abs(residual[1:-1]).max(initial=0.0) / scale)

@@ -120,25 +120,21 @@ def fit_constant(
     """Fit ln(error) = ln C + r * ln h over the records of one family.
 
     With `fix_rate` the exponent is pinned to the theoretical order and only
-    the constant is estimated.  Refuses to fit when there are fewer than
-    three distinct mesh sizes or when every error sits at the rounding floor
-    (no dynamic range: the data carries no rate information).
+    the constant is estimated.  Records at or below the rounding floor carry
+    no rate information and are dropped first; refuses to fit when fewer
+    than three distinct mesh sizes remain.
     """
     subset = [r for r in records if r.order == order]
-    h = np.array([r.h_max for r in subset])
-    err = np.array([r.error_h1 for r in subset])
-    if np.unique(h).size < 3:
+    clean = [r for r in subset if r.error_h1 > _NOISE_FLOOR]
+    h = np.array([r.h_max for r in clean])
+    err = np.array([r.error_h1 for r in clean])
+    n_sizes = np.unique(h).size
+    if n_sizes < 3:
         raise InsufficientDataError(
-            f"need >= 3 distinct mesh sizes for order {order}, got {np.unique(h).size}"
-        )
-    if np.all(err <= _NOISE_FLOOR):
-        raise InsufficientDataError(
-            f"order {order}: errors are at machine-noise level"
+            f"need >= 3 distinct mesh sizes for order {order} with errors above"
+            f" the rounding floor {_NOISE_FLOOR:g}, got {n_sizes};"
+            f" {len(subset) - len(clean)} of {len(subset)} records sit at the floor"
             " (insufficient dynamic range for a power-law fit)"
-        )
-    if np.any(err <= 0.0):
-        raise InsufficientDataError(
-            f"order {order}: nonpositive errors cannot enter a log-log fit"
         )
     log_h = np.log(h)
     log_e = np.log(err)

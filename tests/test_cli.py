@@ -216,10 +216,21 @@ class TestConfigFile:
         assert "missing required parameter --m" in result.stderr
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is needed only by the stiffness solve, not by `law` or `mc`
-    code = "import sys, femprob.cli; print('scipy' in sys.modules)"
+def _scipy_loaded_after(code):
+    code += "; import sys; print('scipy' in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _scipy_loaded_after("import femprob.cli") == "False"
+
+
+def test_solve_leaves_scipy_unloaded():
+    code = (
+        "import femprob as fp; p = fp.get_problem('sine');"
+        " fp.h1_error(fp.assemble_solve(fp.build_mesh(8, 0.3, 1), 3, p), p)"
+    )
+    assert _scipy_loaded_after(code) == "False"

@@ -100,6 +100,21 @@ class TestFitConstant:
         with pytest.raises(InsufficientDataError):
             fit_constant(records, 1)
 
+    def test_rounding_floor_tail_is_dropped(self):
+        records = synthetic_records(2.5, 3.0, [0.2, 0.1, 0.05], order=3)
+        records += [
+            ConvergenceRecord(3, n, 1.0 / n, 3e-13, 2e-13, 0) for n in (40, 80)
+        ]
+        fitted = fit_constant(records, 3)
+        assert fitted.rate == pytest.approx(3.0, abs=1e-10)
+        assert fitted.constant == pytest.approx(2.5, abs=1e-10)
+
+    def test_refuses_when_floor_leaves_two_sizes(self):
+        records = synthetic_records(2.5, 3.0, [0.2, 0.1], order=3)
+        records += [ConvergenceRecord(3, 20, 0.05, 3e-13, 2e-13, 0)]
+        with pytest.raises(InsufficientDataError, match="1 of 3 records"):
+            fit_constant(records, 3)
+
     def test_refuses_machine_noise_errors(self):
         records = convergence_study(POLY2, 2, [4, 8, 16, 32], 0.0, 1, seed=0)
         with pytest.raises(InsufficientDataError, match="dynamic range"):
