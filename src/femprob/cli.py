@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 a requested validation failed, 2 invalid usage.
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -40,9 +41,19 @@ def _fmt(x: float) -> str:
 
 
 def _load_config(path: str | None) -> dict[str, str]:
-    """Parse `key=value` lines; `#` comments and blank lines are ignored."""
+    """Parse `key=value` lines; `#` comments and blank lines are ignored.
+
+    The keys are the long flag names of the running subcommand (`-` or `_`
+    spelled); any other key is rejected rather than silently ignored.
+    """
     if path is None:
         return {}
+    command = click.get_current_context().command
+    known = {
+        param.opts[0].lstrip("-").replace("-", "_")
+        for param in command.params
+        if param.name != "config_path"
+    }
     values: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -52,6 +63,12 @@ def _load_config(path: str | None) -> dict[str, str]:
             raise ParameterError(f"config line {raw!r} is not key=value")
         key, value = line.split("=", 1)
         values[key.strip().replace("-", "_")] = value.strip()
+    unknown = sorted(values.keys() - known)
+    if unknown:
+        raise ParameterError(
+            f"unknown config key {', '.join(map(repr, unknown))} for"
+            f" 'femprob {command.name}'; known keys: {', '.join(sorted(known))}"
+        )
     return values
 
 
@@ -109,11 +126,34 @@ def _h_grid(h_min: float, h_max: float, points: int, spacing: str) -> np.ndarray
 
 
 def _emit(out: str, lines: list[str]) -> None:
+    """Write `lines` to stdout or, atomically, to the file `out`.
+
+    The text goes to a temp file beside the target, which `os.replace` then
+    moves into place, so a failed write leaves neither a partial file nor
+    the temp file behind.
+    """
     text = "\n".join(lines) + "\n"
     if out == "-":
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+        return
+    target = Path(out)
+    if target.exists() and not target.is_file():
+        # a device or a pipe (say /dev/null) is written, never replaced
+        target.write_text(text)
+        return
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        handle = open(temp, "x")
+    except OSError as exc:
+        exc.filename = out  # name the path the user gave, not the temp file
+        raise
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(temp, target)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def _run(body):
@@ -154,10 +194,9 @@ def _pair_from(config, ck, k, cm, m) -> ElementPair:
 @click.option("--h-max", type=float, default=None)
 @click.option("--points", type=int, default=None)
 @click.option("--spacing", type=click.Choice(["log", "linear"]), default=None)
-@_seed_option
 @_out_option
 @_config_option
-def law(ck, k, cm, m, h_min, h_max, points, spacing, seed, out, config_path):
+def law(ck, k, cm, m, h_min, h_max, points, spacing, out, config_path):
     """Tabulate both closed-form laws on a mesh-size grid."""
 
     def body():

@@ -61,18 +61,25 @@ def uniforms(key: int, count: int, offset: int = 0) -> np.ndarray:
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    # uint64 array arithmetic wraps modulo 2**64 without overflow warnings
+    # uint64 array arithmetic wraps modulo 2**64 without overflow warnings.
+    # `out` doubles as the scratch array: every xor-shift writes its shifted
+    # copy into its uint64 view, and the final scaling fills it as float64
+    # (z < 2**53 there, so the conversion is exact, as astype's would be).
     z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    out = np.empty(count, dtype=np.float64)
+    t = out.view(np.uint64)
     z *= _GOLDEN_U64
     z += np.uint64(key)
-    z ^= z >> _U30
+    np.right_shift(z, _U30, out=t)
+    z ^= t
     z *= _MIX_A_U64
-    z ^= z >> _U27
+    np.right_shift(z, _U27, out=t)
+    z ^= t
     z *= _MIX_B_U64
-    z ^= z >> _U31
+    np.right_shift(z, _U31, out=t)
+    z ^= t
     z >>= _U11
-    out = z.astype(np.float64)
-    out *= _INV_2_53
+    np.multiply(z, _INV_2_53, out=out)
     return out
 
 

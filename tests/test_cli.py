@@ -1,9 +1,15 @@
-"""End-to-end CLI behavior through real subprocesses."""
+"""End-to-end CLI behavior through real subprocesses, plus in-process checks
+of the output writer."""
 
+import os
+import stat
 import subprocess
 import sys
 
 import pytest
+from click.testing import CliRunner
+
+from femprob import cli
 
 
 def run_cli(*args, expect=0):
@@ -57,6 +63,18 @@ class TestLawCommand:
             "--h-min", 0.1, "--h-max", 1, expect=2,
         )
         assert "error:" in result.stderr
+
+    def test_seed_is_not_an_option(self, tmp_path):
+        # the closed-form laws draw nothing, so a seed would be silently unused
+        result = run_cli(
+            "law", "--ck", 1, "--k", 1, "--cm", 2, "--m", 2,
+            "--h-min", 0.1, "--h-max", 1, "--seed", 3, expect=2,
+        )
+        assert "--seed" in result.stderr
+        config = tmp_path / "law.cfg"
+        config.write_text("ck=1\nk=1\ncm=2\nm=2\nh_min=0.1\nh_max=1\nseed=3\n")
+        result = run_cli("law", "--config", config, expect=2)
+        assert result.stderr.startswith("error: unknown config key 'seed'")
 
 
 class TestMcCommand:
@@ -211,9 +229,74 @@ class TestConfigFile:
         assert len(result.stderr.strip().splitlines()) == 1
         assert "Traceback" not in result.stderr
 
+    @pytest.mark.parametrize("command", ["law", "mc", "fem", "compare"])
+    def test_unknown_key_rejected(self, tmp_path, command):
+        config = tmp_path / "typo.cfg"
+        config.write_text("poitns=50\n")
+        result = run_cli(command, "--config", config, expect=2)
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: unknown config key 'poitns'")
+        assert f"femprob {command}" in lines[0]
+
+    def test_every_flag_is_a_config_key(self, tmp_path):
+        config = tmp_path / "mc.cfg"
+        config.write_text(
+            "ck=1\nk=1\ncm=2\nm=2\nh-min=0.5\nh_max=0.5\npoints=1\ntrials=100\n"
+            "sigma-factor=3\nvalidate=no\nseed=3\nspacing=log\n"
+            f"out={tmp_path / 'mc.csv'}\n"
+        )
+        run_cli("mc", "--config", config)
+        assert data_rows((tmp_path / "mc.csv").read_text())[0].startswith("0.5,0.5,")
+
     def test_missing_required_parameter(self):
         result = run_cli("law", "--ck", 1, "--k", 1, "--cm", 2, expect=2)
         assert "missing required parameter --m" in result.stderr
+
+
+class TestAtomicOutput:
+    LAW = ["law", "--ck", "1", "--k", "1", "--cm", "2", "--m", "2",
+           "--h-min", "0.1", "--h-max", "1", "--points", "5"]
+
+    def test_overwrite_leaves_only_the_new_file(self, tmp_path):
+        out = tmp_path / "law.csv"
+        out.write_text("stale\n")
+        run_cli(*self.LAW, "--out", out)
+        assert [p.name for p in tmp_path.iterdir()] == ["law.csv"]
+        assert len(data_rows(out.read_text())) == 5
+
+    def test_failed_write_leaves_target_and_no_temp(self, tmp_path, monkeypatch):
+        out = tmp_path / "law.csv"
+        out.write_text("previous run\n")
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        result = CliRunner().invoke(cli.main, [*self.LAW, "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output.strip().splitlines() == [
+            "error: [Errno 28] No space left on device"
+        ]
+        assert [p.name for p in tmp_path.iterdir()] == ["law.csv"]
+        assert out.read_text() == "previous run\n"
+
+    def test_missing_directory_names_the_target(self, tmp_path):
+        out = tmp_path / "missing" / "law.csv"
+        result = run_cli(*self.LAW, "--out", out, expect=2)
+        assert result.stderr.strip().endswith(repr(str(out)))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_target_is_written_in_place(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            cli._emit(str(pipe), ["a,b", "1,2"])
+            assert os.read(reader, 100) == b"a,b\n1,2\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(pipe.stat().st_mode)
 
 
 def _scipy_loaded_after(code):

@@ -16,6 +16,7 @@ from femprob import (
     prob_sigmoid,
     trapezium_ratio,
 )
+from femprob.rng import derive_key, uniforms
 
 REFERENCE = ElementPair.from_constants(1.0, 1, 2.0, 2)  # crossover at 0.5
 
@@ -99,6 +100,17 @@ class TestMcEstimate:
         for chunk in (1_000, 33_333, 99_999):
             assert mc_estimate(REFERENCE, 0.4, 100_000, 7, chunk_size=chunk) == whole
 
+    @pytest.mark.parametrize("n_trials", [10**6, 3 * 2**15 + 7])
+    @pytest.mark.parametrize("h", [0.3, 0.5, 1.2])
+    def test_blocked_count_matches_one_shot_draw(self, n_trials, h):
+        # one draw of the whole stream, counted at once, is the reference for
+        # the block loop; 3 * 2**15 + 7 leaves a ragged last block
+        x_low, x_high = draw_error_samples(REFERENCE, h, n_trials, 2026)
+        hits = np.count_nonzero(x_high <= x_low)
+        est = mc_estimate(REFERENCE, h, n_trials, 2026)
+        assert est.p_hat * n_trials == hits
+        assert est.p_hat == hits / n_trials
+
     def test_three_way_agreement_both_branches(self):
         for i, t in enumerate((0.2, 0.7, 1.0, 1.6, 4.0)):
             h = t * REFERENCE.h_star
@@ -147,6 +159,34 @@ class TestConditionalIdentity:
         assert report.prob_high_wins == pytest.approx(0.75, abs=0.0013)
         # analytic conditional: 0.5 / 0.75 = 2/3
         assert report.prob_band_given_win == pytest.approx(2.0 / 3.0, abs=0.002)
+
+    @pytest.mark.parametrize("n_trials", [10**6, 3 * 2**15 + 7])
+    def test_blocked_counts_match_one_shot_batches(self, n_trials):
+        # the documented construction: batch `tag` draws from derive_key(seed, tag)
+        seed, h = 7, 0.25
+        top_low, top_high = REFERENCE.low.bound(h), REFERENCE.high.bound(h)
+
+        def batch(tag):
+            key = derive_key(seed, tag)
+            return (
+                uniforms(derive_key(key, 0), n_trials) * top_low,
+                uniforms(derive_key(key, 1), n_trials) * top_high,
+            )
+
+        x_low, x_high = batch(2)
+        prob_win = np.count_nonzero(x_high <= x_low) / n_trials
+        x_low, _ = batch(3)
+        prob_band = np.count_nonzero((x_low >= top_high) & (x_low <= top_low)) / n_trials
+        x_low, x_high = batch(4)
+        wins = x_high <= x_low
+        in_band = (x_low >= top_high) & (x_low <= top_low)
+        prob_given = np.count_nonzero(in_band & wins) / np.count_nonzero(wins)
+
+        report = conditional_identity_check(REFERENCE, h, n_trials, seed)
+        assert report.prob_high_wins == prob_win
+        assert report.prob_low_in_band == prob_band
+        assert report.prob_band_given_win == prob_given
+        assert report.identity_residual == abs(prob_win - prob_band / prob_given)
 
     def test_deterministic(self):
         a = conditional_identity_check(REFERENCE, 0.25, 10_000, 99)

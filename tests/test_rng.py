@@ -20,6 +20,13 @@ class TestDeterminism:
         for i in (0, 1, 17, 49):
             assert uniform_at(key, i) == stream[i]
 
+    def test_scalar_matches_vector_at_offset(self):
+        # offsets past one 2**15 block, near 2**53 and near the top of 2**64
+        key = derive_key(2026, 1)
+        for offset in (0, 2**15 - 3, 3 * 2**15 + 5, 2**53 - 2, 2**64 - 40):
+            block = uniforms(key, 32, offset)
+            assert [uniform_at(key, offset + i) for i in range(32)] == block.tolist()
+
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(0, 300), st.integers(1, 200))
     @settings(max_examples=30, deadline=None)
     def test_chunking_is_invisible(self, key, split, extra):
