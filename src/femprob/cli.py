@@ -125,34 +125,43 @@ def _h_grid(h_min: float, h_max: float, points: int, spacing: str) -> np.ndarray
     raise ParameterError(f"spacing must be 'log' or 'linear', got {spacing!r}")
 
 
-def _emit(out: str, lines: list[str]) -> None:
-    """Write `lines` to stdout or, atomically, to the file `out`.
+def _emit(out: str, lines: list[str], *more: tuple[str, list[str]]) -> None:
+    """Write `lines` to `out`, and each further `(out, lines)` pair, as one set.
 
-    The text goes to a temp file beside the target, which `os.replace` then
-    moves into place, so a failed write leaves neither a partial file nor
-    the temp file behind.
+    An `out` of `-` is stdout.  A file's text goes to a temp file beside it;
+    only once every temp file is written does `os.replace` move them into
+    place, so a failed write leaves no partial file, no temp file and no
+    file of the set without the others.
     """
-    text = "\n".join(lines) + "\n"
-    if out == "-":
-        sys.stdout.write(text)
-        return
-    target = Path(out)
-    if target.exists() and not target.is_file():
-        # a device or a pipe (say /dev/null) is written, never replaced
-        target.write_text(text)
-        return
-    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    staged: list[tuple[Path, Path]] = []
+    in_place: list[tuple[Path | None, str]] = []
     try:
-        handle = open(temp, "x")
-    except OSError as exc:
-        exc.filename = out  # name the path the user gave, not the temp file
-        raise
-    try:
-        with handle:
-            handle.write(text)
-        os.replace(temp, target)
+        for out, lines in ((out, lines), *more):
+            text = "\n".join(lines) + "\n"
+            target = None if out == "-" else Path(out)
+            if target is None or (target.exists() and not target.is_file()):
+                # stdout, a device or a pipe (say /dev/null) is written, never replaced
+                in_place.append((target, text))
+                continue
+            temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            try:
+                handle = open(temp, "x")
+            except OSError as exc:
+                exc.filename = out  # name the path the user gave, not the temp file
+                raise
+            staged.append((temp, target))
+            with handle:
+                handle.write(text)
+        for target, text in in_place:
+            if target is None:
+                sys.stdout.write(text)
+            else:
+                target.write_text(text)
+        for temp, target in staged:
+            os.replace(temp, target)
     except BaseException:
-        temp.unlink(missing_ok=True)
+        for temp, _ in staged:
+            temp.unlink(missing_ok=True)
         raise
 
 
@@ -372,8 +381,7 @@ def fem(problem_name, orders, n_list, jitter, trials, fix_rate, fit_out,
         if fit_path == out_path:
             _emit(out_path, record_lines + fit_lines)
         else:
-            _emit(out_path, record_lines)
-            _emit(fit_path, fit_lines)
+            _emit(out_path, record_lines, (fit_path, fit_lines))
         if check and not rates_ok:
             click.echo("error: fitted rates failed validation", err=True)
             sys.exit(1)

@@ -9,6 +9,14 @@ two running sums solve the first and a scaling the second (Szabo & Babuska,
 supported; the quadrature orders are fixed so that integration error sits
 well below discretization error across that range (k+3 points for the
 loads; k+5 points for error norms).
+
+`assemble_solve` and `h1_error` walk the mesh in blocks of whole elements,
+about `_BLOCK_POINTS` quadrature points each, so every per-point array stays
+in L2 cache.  A block yields per-element results only (loads, weighted
+squared errors); the global reductions (the solve's running sums, the sums
+of the error integrals over elements) run once over all elements
+afterwards.  Each element's result comes from the same operations in any
+block, so every output is bit-identical for any block size.
 """
 
 from __future__ import annotations
@@ -29,6 +37,10 @@ MAX_ORDER = 10
 
 _ASSEMBLY_EXTRA_POINTS = 3  # ceil((2k+2)/2) + 2 == k + 3 Gauss points
 _ERROR_EXTRA_POINTS = 5  # k + 5 Gauss points for the H1 error integrals
+
+# quadrature points per element block: 2**15 float64 values are 256 KiB per
+# array, so every pass over a block stays in L2 (2**13..2**17 measured)
+_BLOCK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -57,13 +69,19 @@ class FemSolution:
 
     def element_values(self) -> np.ndarray:
         """Per element, the Lobatto coefficients of u_h: both vertex values, then bubbles."""
-        vertices = np.zeros(self.mesh.n_elements + 1)
-        np.cumsum(self.slopes * self.mesh.gaps, out=vertices[1:])
-        return np.column_stack((vertices[:-1], vertices[1:], self.bubbles))
+        out = np.empty((self.mesh.n_elements, self.order + 1))
+        (self.slopes * self.mesh.gaps).cumsum(out=out[:, 1])
+        out[0, 0] = 0.0
+        out[1:, 0] = out[:-1, 1]
+        out[:, 2:] = self.bubbles
+        return out
 
     def element_slopes(self) -> np.ndarray:
         """Per element, the coefficients of u_h' against 1 and the bubble derivatives."""
-        return np.column_stack((self.slopes, self.bubbles / self.mesh.gaps[:, None]))
+        out = np.empty((self.mesh.n_elements, self.order))
+        out[:, 0] = self.slopes
+        np.divide(self.bubbles, self.mesh.gaps[:, None], out=out[:, 1:])
+        return out
 
     @property
     def coefficients(self) -> np.ndarray:
@@ -142,6 +160,37 @@ def _reference_element(order: int, extra_points: int, tables=_lobatto_tables):
     return points, weights, values, derivs
 
 
+@lru_cache(maxsize=None)
+def _point_map(order: int, extra_points: int) -> np.ndarray:
+    """Rows t and 1: (h, left) @ this gives an element's points left + h * t.
+
+    The product rounds h * t, then adds left * 1, so each point is rounded
+    exactly as the elementwise form; it runs ~5x faster than broadcasting
+    over the few points of each element.
+    """
+    points = _reference_element(order, extra_points)[0]
+    point_map = np.stack((points, np.ones_like(points)))
+    point_map.flags.writeable = False
+    return point_map
+
+
+def _element_blocks(mesh: Mesh1D, order: int, extra_points: int):
+    """Yield (elements, x_quad) per block of about `_BLOCK_POINTS` points.
+
+    `elements` is the slice of element indices in the block and `x_quad`
+    their quadrature points under the (order, extra_points) rule, one row
+    per element.
+    """
+    point_map = _point_map(order, extra_points)
+    edges = np.empty((mesh.n_elements, 2))
+    edges[:, 0] = mesh.gaps
+    edges[:, 1] = mesh.nodes[:-1]
+    step = _BLOCK_POINTS // point_map.shape[1]  # >= 2184 elements at k + 5 <= 15 points
+    for start in range(0, mesh.n_elements, step):
+        block = slice(start, start + step)
+        yield block, edges[block] @ point_map
+
+
 def _checked_order(order: int) -> int:
     if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
         raise ParameterError(f"order must be an integer, got {order!r}")
@@ -160,18 +209,19 @@ def assemble_solve(mesh: Mesh1D, order: int, problem: Problem1D) -> FemSolution:
     Bubble j of element e decouples: b_ej / h_e = l(phi_ej).
     """
     k = _checked_order(order)
-    points, weights, values, _ = _reference_element(k, _ASSEMBLY_EXTRA_POINTS)
+    _, weights, values, _ = _reference_element(k, _ASSEMBLY_EXTRA_POINTS)
     lengths = mesh.gaps
 
-    x_quad = mesh.nodes[:-1, None] + lengths[:, None] * points[None, :]
-    f_quad = np.asarray(problem.source(x_quad), dtype=np.float64)
-    if not np.isfinite(f_quad).all():
-        raise ValueError("source values must not contain infs or NaNs")
-    loads = lengths[:, None] * ((f_quad * weights) @ values)
+    loads = np.empty((mesh.n_elements, k + 1))
+    for block, x_quad in _element_blocks(mesh, k, _ASSEMBLY_EXTRA_POINTS):
+        f_quad = np.asarray(problem.source(x_quad), dtype=np.float64)
+        if not np.isfinite(f_quad).all():
+            raise ValueError("source values must not contain infs or NaNs")
+        loads[block] = lengths[block, None] * ((f_quad * weights) @ values)
 
     vertex_loads = np.zeros(mesh.n_elements)
-    vertex_loads[1:] = loads[:-1, 1] + loads[1:, 0]
-    passed = np.cumsum(vertex_loads)
+    np.add(loads[:-1, 1], loads[1:, 0], out=vertex_loads[1:])
+    passed = vertex_loads.cumsum()
     slopes = (lengths @ passed) / lengths.sum() - passed
     bubbles = lengths[:, None] * loads[:, 2:]
     return FemSolution(order=k, mesh=mesh, slopes=slopes, bubbles=bubbles)
@@ -195,20 +245,32 @@ def h1_error(solution: FemSolution, problem: Problem1D) -> tuple[float, float]:
     quadrature contribution orders of magnitude below the error itself
     for smooth solutions.  u_h' is taken from the slopes, not from vertex
     value differences, which would add a rounding floor on fine meshes.
+
+    The squared errors are integrated per element, block by block; the
+    sums over elements run once over all of them, so the result does not
+    depend on the block size.
     """
     k = solution.order
-    points, weights, values, derivs = _reference_element(k, _ERROR_EXTRA_POINTS)
+    _, weights, values, derivs = _reference_element(k, _ERROR_EXTRA_POINTS)
     mesh = solution.mesh
     lengths = mesh.gaps
+    coefficients = solution.element_values()
+    slope_coefficients = solution.element_slopes()
 
-    x_quad = mesh.nodes[:-1, None] + lengths[:, None] * points[None, :]
-    uh = solution.element_values() @ values.T
-    duh = solution.element_slopes() @ derivs[:, 1:].T  # d/dt of the hat t is 1
-    diff = uh - np.asarray(problem.exact_solution(x_quad), dtype=np.float64)
-    ddiff = duh - np.asarray(problem.exact_derivative(x_quad), dtype=np.float64)
+    l2_elements = np.empty(mesh.n_elements)
+    semi_elements = np.empty(mesh.n_elements)
+    for block, x_quad in _element_blocks(mesh, k, _ERROR_EXTRA_POINTS):
+        diff = coefficients[block] @ values.T  # u_h, then u_h - u, then its square
+        ddiff = slope_coefficients[block] @ derivs[:, 1:].T  # d/dt of the hat t is 1
+        diff -= np.asarray(problem.exact_solution(x_quad), dtype=np.float64)
+        ddiff -= np.asarray(problem.exact_derivative(x_quad), dtype=np.float64)
+        diff *= diff
+        ddiff *= ddiff
+        l2_elements[block] = diff @ weights
+        semi_elements[block] = ddiff @ weights
 
-    l2_sq = float((lengths * ((diff * diff) @ weights)).sum())
-    semi_sq = float((lengths * ((ddiff * ddiff) @ weights)).sum())
+    l2_sq = float((lengths * l2_elements).sum())
+    semi_sq = float((lengths * semi_elements).sum())
     return math.sqrt(l2_sq + semi_sq), math.sqrt(semi_sq)
 
 

@@ -6,7 +6,8 @@ discretization errors are computable exactly.  Library problems also
 register closed-form Sobolev seminorms of u, used to document fitted
 error constants.
 
-Callables must accept numpy arrays (all library problems do).
+Callables must accept numpy arrays and act pointwise (all library problems
+do; see `Problem1D`).
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ class Problem1D:
     `seminorm_fn`, when provided, maps an integer s >= 1 to the analytic
     H^s seminorm of u (the L2 norm of the s-th derivative).  Problems
     without it are still solvable; they just cannot document constants.
+
+    The three functions must be pointwise: `assemble_solve` and `h1_error`
+    call them once per block of elements (about 2**15 quadrature points),
+    not once per mesh, so a result that depends on the other points of
+    its array (a normalisation, a running sum) changes with the blocking.
     """
 
     name: str
@@ -105,8 +111,8 @@ _SINE_PATTERN = re.compile(r"^sine(\d+)$")
 
 
 def available_problems() -> tuple[str, ...]:
-    """Names accepted by `get_problem` (sineN is accepted for any N >= 1)."""
-    return ("sine", "sine2", "sine3", "...", "poly2", "poly3", "poly4")
+    """The fixed names `get_problem` accepts; it also accepts sineN for any N >= 1."""
+    return tuple(_FIXED)
 
 
 def get_problem(name: str) -> Problem1D:
@@ -124,4 +130,5 @@ def get_problem(name: str) -> Problem1D:
             return _make_sine(frequency)
     raise UnsupportedProblemError(
         f"unknown problem {name!r}; available: {', '.join(available_problems())}"
+        " and sineN for any integer N >= 1"
     )

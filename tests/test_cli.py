@@ -286,6 +286,17 @@ class TestAtomicOutput:
         result = run_cli(*self.LAW, "--out", out, expect=2)
         assert result.stderr.strip().endswith(repr(str(out)))
 
+    def test_failed_fit_write_leaves_no_records(self, tmp_path):
+        result = run_cli(
+            "fem", "--problem", "sine", "--orders", "1", "--n-list", "4,8,16",
+            "--out", tmp_path / "rec.csv",
+            "--fit-out", tmp_path / "missing" / "fit.csv",
+            expect=2,
+        )
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_pipe_target_is_written_in_place(self, tmp_path):
         pipe = tmp_path / "pipe"

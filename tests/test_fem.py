@@ -1,5 +1,7 @@
 """Solver correctness: containment, nodal exactness, rates, independent references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +14,7 @@ from femprob import (
     Problem1D,
     assemble_solve,
     build_mesh,
+    fem,
     galerkin_residual,
     get_problem,
     h1_error,
@@ -243,3 +246,71 @@ class TestH1Error:
         slopes = np.diff(solution.coefficients) / np.diff(nodes)
         uh_energy = float(np.sum(slopes**2 * np.diff(nodes)))
         assert semi**2 == pytest.approx(u_energy - uh_energy, rel=1e-8)
+
+
+def counting(problem):
+    """`problem` with call counters on its three callables."""
+    calls = {"source": 0, "exact_solution": 0, "exact_derivative": 0}
+
+    def counted(name):
+        def call(x):
+            calls[name] += 1
+            return getattr(problem, name)(x)
+
+        return call
+
+    wrapped = Problem1D(
+        name=problem.name, **{name: counted(name) for name in calls}
+    )
+    for name in calls:
+        calls[name] = 0  # forget the boundary checks of construction
+    return wrapped, calls
+
+
+class TestElementBlocks:
+    @pytest.mark.parametrize("order", [1, 4, 10])
+    def test_blocked_equals_one_block(self, order, monkeypatch):
+        # three full blocks of the load rule and a ragged fourth; the error
+        # rule has more points, so its blocks are smaller and ragged too
+        per_block = fem._BLOCK_POINTS // (order + fem._ASSEMBLY_EXTRA_POINTS)
+        n = 3 * per_block + 7
+        mesh = build_mesh(n, 0.3, seed=order)
+        problem, calls = counting(get_problem("sine24"))
+        blocked = assemble_solve(mesh, order, problem)
+        blocked_errors = h1_error(blocked, problem)
+        assert calls["source"] == 4
+        assert calls["exact_solution"] == calls["exact_derivative"] >= 4
+
+        monkeypatch.setattr(fem, "_BLOCK_POINTS", 16 * n)
+        whole = assemble_solve(mesh, order, problem)
+        assert h1_error(whole, problem) == blocked_errors
+        assert calls["source"] == 5
+        np.testing.assert_array_equal(blocked.slopes, whole.slopes)
+        np.testing.assert_array_equal(blocked.bubbles, whole.bubbles)
+
+    @pytest.mark.parametrize("extra", [fem._ASSEMBLY_EXTRA_POINTS, fem._ERROR_EXTRA_POINTS])
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_points_round_as_left_plus_h_t(self, order, extra):
+        # the blocks form the points as a matrix product; it must round
+        # each point exactly as the elementwise left + h * t
+        points = fem._reference_element(order, extra)[0]
+        for n in (1, 7, 3 * (fem._BLOCK_POINTS // points.size) + 7):
+            mesh = build_mesh(n, 0.3, seed=n + order)
+            want = mesh.nodes[:-1, None] + mesh.gaps[:, None] * points
+            got = np.concatenate([x for _, x in fem._element_blocks(mesh, order, extra)])
+            assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_of_a_large_solve(self):
+        # numpy reports its buffers to tracemalloc.  At n = 65536, k = 10,
+        # arrays over all 983,040 load points and 1,966,080 error points
+        # peak at 50.5 MiB; in blocks the peak is 18.8 MiB, mostly the
+        # (n, k+1) per-element coefficient arrays
+        mesh = build_mesh(65536, 0.3, seed=2026)
+        problem = get_problem("sine24")
+        tracemalloc.start()
+        try:
+            h1_error(assemble_solve(mesh, 10, problem), problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20

@@ -8,6 +8,7 @@ from femprob import (
     ParameterError,
     Problem1D,
     UnsupportedProblemError,
+    available_problems,
     get_problem,
     seminorm_reference,
 )
@@ -30,6 +31,14 @@ class TestRegistry:
             get_problem("nosuch")
         with pytest.raises(UnsupportedProblemError):
             get_problem("sine0")
+
+    def test_available_names_resolve(self):
+        for name in available_problems():
+            assert get_problem(name).name == name
+
+    def test_unknown_name_lists_the_sine_family(self):
+        with pytest.raises(UnsupportedProblemError, match=r"sineN for any integer N >= 1"):
+            get_problem("nosuch")
 
 
 class TestConsistency:
