@@ -21,8 +21,6 @@ from .errors import (
 from .laws import (
     ElementPair,
     ErrorLaw,
-    LawKind,
-    ProbabilityCurve,
     crossover_h_star,
     prob_sigmoid,
     prob_sigmoid_complement,
@@ -33,9 +31,7 @@ from .mesh import Mesh1D, build_mesh
 from .oracle import (
     ConditionalIdentityReport,
     McEstimate,
-    UniformErrorSample,
     draw_error_samples,
-    draw_sample,
     conditional_identity_check,
     mc_estimate,
     numeric_area_oracle,
@@ -64,17 +60,13 @@ __all__ = [
     "UnsupportedProblemError",
     "ErrorLaw",
     "ElementPair",
-    "ProbabilityCurve",
-    "LawKind",
     "crossover_h_star",
     "prob_two_step",
     "prob_sigmoid",
     "prob_sigmoid_complement",
     "tabulate_curve",
-    "UniformErrorSample",
     "McEstimate",
     "ConditionalIdentityReport",
-    "draw_sample",
     "draw_error_samples",
     "trapezium_ratio",
     "mc_estimate",

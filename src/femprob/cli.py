@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from .errors import FemProbError, InsufficientDataError, ParameterError
-from .laws import ElementPair, LawKind, prob_sigmoid, tabulate_curve
+from .laws import ElementPair, prob_sigmoid, prob_two_step, tabulate_curve
 from .oracle import mc_estimate
 from .problems import get_problem
 from .rng import derive_key
@@ -218,8 +218,8 @@ def law(ck, k, cm, m, h_min, h_max, points, spacing, out, config_path):
             _resolve(config, "spacing", spacing, str, default="log"),
         )
         out_path = _resolve(config, "out", out, str, default="-")
-        step = tabulate_curve(pair, grid, LawKind.TWO_STEP)
-        smooth = tabulate_curve(pair, grid, LawKind.SIGMOID)
+        step = tabulate_curve(pair, grid, prob_two_step)
+        smooth = tabulate_curve(pair, grid, prob_sigmoid)
         lines = [
             "# femprob law",
             f"# ck={_fmt(pair.low.constant)} k={pair.low.order}"
@@ -227,7 +227,7 @@ def law(ck, k, cm, m, h_min, h_max, points, spacing, out, config_path):
             f"# h_star={_fmt(pair.h_star)}",
             "h,p_two_step,p_sigmoid",
         ]
-        for (h, p_step), (_, p_sig) in zip(step.samples, smooth.samples):
+        for h, p_step, p_sig in zip(grid, step, smooth):
             lines.append(f"{_fmt(h)},{_fmt(p_step)},{_fmt(p_sig)}")
         _emit(out_path, lines)
 
@@ -378,7 +378,10 @@ def fem(problem_name, orders, n_list, jitter, trials, fix_rate, fit_out,
                     err=True,
                 )
 
-        if fit_path == out_path:
+        if out_path == fit_path or (
+            "-" not in (out_path, fit_path)
+            and Path(out_path).resolve() == Path(fit_path).resolve()
+        ):
             _emit(out_path, record_lines + fit_lines)
         else:
             _emit(out_path, record_lines, (fit_path, fit_lines))

@@ -17,6 +17,11 @@ squared errors); the global reductions (the solve's running sums, the sums
 of the error integrals over elements) run once over all elements
 afterwards.  Each element's result comes from the same operations in any
 block, so every output is bit-identical for any block size.
+
+`galerkin_residual` checks a solve against the variational identity in the
+same Lobatto basis: the loads through the solve's own quadrature, the
+stiffness action by quadrature of u_h' against the basis derivatives, so it
+reads the rounding of the solve and not that of another basis.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
+from .laws import _checked_order
 from .mesh import Mesh1D
 from .problems import Problem1D
 
@@ -94,13 +100,6 @@ class FemSolution:
         nodal = self.element_values() @ local_values.T
         return np.append(nodal.ravel(), 0.0)
 
-    def node_coordinates(self) -> np.ndarray:
-        """Global coordinates of the nodal degrees of freedom."""
-        k = self.order
-        local = np.arange(k) / k
-        interior = self.mesh.nodes[:-1, None] + self.mesh.gaps[:, None] * local[None, :]
-        return np.append(interior.ravel(), 1.0)
-
 
 def _gauss_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre points and weights mapped from [-1, 1] to [0, 1]."""
@@ -126,37 +125,11 @@ def _lobatto_tables(order: int, points: np.ndarray) -> tuple[np.ndarray, np.ndar
     return values, derivs
 
 
-def _lagrange_tables(order: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and derivatives of the equispaced degree-k basis at `points`.
-
-    Direct product evaluation of the Lagrange form; stable here because the
-    evaluation points (Gauss points) never coincide with the nodes.
-    """
-    nodes = np.arange(order + 1) / order
-    n_basis = order + 1
-    values = np.ones((points.size, n_basis))
-    derivs = np.zeros((points.size, n_basis))
-    for j in range(n_basis):
-        others = [l for l in range(n_basis) if l != j]
-        denom = np.prod(nodes[j] - nodes[others])
-        for i in others:
-            rest = np.ones_like(points)
-            for l in others:
-                if l != i:
-                    rest *= points - nodes[l]
-            derivs[:, j] += rest
-        for l in others:
-            values[:, j] *= points - nodes[l]
-        values[:, j] /= denom
-        derivs[:, j] /= denom
-    return values, derivs
-
-
 @lru_cache(maxsize=None)
-def _reference_element(order: int, extra_points: int, tables=_lobatto_tables):
+def _reference_element(order: int, extra_points: int):
     """Per-degree tabulation reused across every element and mesh."""
     points, weights = _gauss_rule(order + extra_points)
-    values, derivs = tables(order, points)
+    values, derivs = _lobatto_tables(order, points)
     return points, weights, values, derivs
 
 
@@ -191,13 +164,17 @@ def _element_blocks(mesh: Mesh1D, order: int, extra_points: int):
         yield block, edges[block] @ point_map
 
 
-def _checked_order(order: int) -> int:
-    if not isinstance(order, (int, np.integer)) or isinstance(order, bool):
-        raise ParameterError(f"order must be an integer, got {order!r}")
-    order = int(order)
-    if not 1 <= order <= MAX_ORDER:
-        raise ParameterError(f"order must lie in [1, {MAX_ORDER}], got {order}")
-    return order
+def _element_loads(mesh: Mesh1D, k: int, problem: Problem1D) -> np.ndarray:
+    """Per element, the loads l(phi) of its k + 1 Lobatto basis functions."""
+    _, weights, values, _ = _reference_element(k, _ASSEMBLY_EXTRA_POINTS)
+    lengths = mesh.gaps
+    loads = np.empty((mesh.n_elements, k + 1))
+    for block, x_quad in _element_blocks(mesh, k, _ASSEMBLY_EXTRA_POINTS):
+        f_quad = np.asarray(problem.source(x_quad), dtype=np.float64)
+        if not np.isfinite(f_quad).all():
+            raise ValueError("source values must not contain infs or NaNs")
+        loads[block] = lengths[block, None] * ((f_quad * weights) @ values)
+    return loads
 
 
 def assemble_solve(mesh: Mesh1D, order: int, problem: Problem1D) -> FemSolution:
@@ -209,15 +186,10 @@ def assemble_solve(mesh: Mesh1D, order: int, problem: Problem1D) -> FemSolution:
     Bubble j of element e decouples: b_ej / h_e = l(phi_ej).
     """
     k = _checked_order(order)
-    _, weights, values, _ = _reference_element(k, _ASSEMBLY_EXTRA_POINTS)
+    if k > MAX_ORDER:
+        raise ParameterError(f"order must lie in [1, {MAX_ORDER}], got {k}")
+    loads = _element_loads(mesh, k, problem)
     lengths = mesh.gaps
-
-    loads = np.empty((mesh.n_elements, k + 1))
-    for block, x_quad in _element_blocks(mesh, k, _ASSEMBLY_EXTRA_POINTS):
-        f_quad = np.asarray(problem.source(x_quad), dtype=np.float64)
-        if not np.isfinite(f_quad).all():
-            raise ValueError("source values must not contain infs or NaNs")
-        loads[block] = lengths[block, None] * ((f_quad * weights) @ values)
 
     vertex_loads = np.zeros(mesh.n_elements)
     np.add(loads[:-1, 1], loads[1:, 0], out=vertex_loads[1:])
@@ -225,17 +197,6 @@ def assemble_solve(mesh: Mesh1D, order: int, problem: Problem1D) -> FemSolution:
     slopes = (lengths @ passed) / lengths.sum() - passed
     bubbles = lengths[:, None] * loads[:, 2:]
     return FemSolution(order=k, mesh=mesh, slopes=slopes, bubbles=bubbles)
-
-
-def _element_coefficients(solution: FemSolution) -> np.ndarray:
-    """Coefficients reshaped to one row of k+1 nodal values per element."""
-    k = solution.order
-    n_el = solution.mesh.n_elements
-    coefficients = solution.coefficients
-    out = np.empty((n_el, k + 1))
-    out[:, :k] = coefficients[:-1].reshape(n_el, k)
-    out[:, k] = coefficients[k::k]
-    return out
 
 
 def h1_error(solution: FemSolution, problem: Problem1D) -> tuple[float, float]:
@@ -275,33 +236,24 @@ def h1_error(solution: FemSolution, problem: Problem1D) -> tuple[float, float]:
 
 
 def galerkin_residual(solution: FemSolution, problem: Problem1D) -> float:
-    """Max residual of the discrete variational identity over interior DOFs.
+    """Max residual of the discrete variational identity over interior unknowns.
 
-    Recomputes load and stiffness action element by element in the nodal
-    Lagrange basis (not through the Lobatto solve) from the nodal
-    `coefficients`, and returns max |l(phi_i) - a(u_h, phi_i)| / max |l(phi_i)|;
-    a correct solve leaves only rounding.
+    Recomputes, in the Lobatto basis, the loads l(phi) with the solve's own
+    quadrature and the stiffness action a(u_h, phi), element by element, as
+    (1/h) times the quadrature of du_h/dt against each dphi/dt, from the
+    solution's coefficients and not through the solve's running sums.  A
+    vertex sums the rows of its two elements; a bubble is its own row.  Returns max |l - a| / max |l| over
+    the interior vertices and the bubbles; a correct solve leaves only
+    rounding, about 1e-10 at n = 65536.
     """
     k = solution.order
-    points, weights, values, derivs = _reference_element(
-        k, _ASSEMBLY_EXTRA_POINTS, _lagrange_tables
-    )
-    mesh = solution.mesh
-    lengths = mesh.gaps
-    coeffs = _element_coefficients(solution)
+    _, weights, _, derivs = _reference_element(k, _ASSEMBLY_EXTRA_POINTS)
+    loads = _element_loads(solution.mesh, k, problem)
+    duh = solution.element_values() @ derivs.T  # d/dt of u_h at the points
+    actions = ((duh * weights) @ derivs) / solution.mesh.gaps[:, None]
 
-    x_quad = mesh.nodes[:-1, None] + lengths[:, None] * points[None, :]
-    f_quad = np.asarray(problem.source(x_quad), dtype=np.float64)
-    element_loads = lengths[:, None] * ((f_quad * weights) @ values)
-    duh = coeffs @ derivs.T  # reference-coordinate derivative
-    element_actions = ((duh * weights) @ derivs) / lengths[:, None]
+    def interior(rows):  # one entry per interior vertex, then one per bubble
+        return np.concatenate((rows[:-1, 1] + rows[1:, 0], rows[:, 2:].ravel()))
 
-    n_dof = mesh.n_elements * k + 1
-    residual = np.zeros(n_dof)
-    load = np.zeros(n_dof)
-    base = np.arange(mesh.n_elements) * k
-    for j in range(k + 1):
-        np.add.at(residual, base + j, element_loads[:, j] - element_actions[:, j])
-        np.add.at(load, base + j, element_loads[:, j])
-    scale = float(np.abs(load[1:-1]).max(initial=0.0)) or 1.0
-    return float(np.abs(residual[1:-1]).max(initial=0.0) / scale)
+    scale = float(np.abs(interior(loads)).max(initial=0.0)) or 1.0
+    return float(np.abs(interior(loads - actions)).max(initial=0.0) / scale)

@@ -21,7 +21,6 @@ two bounds" collapses the law to a two-step indicator (1 below h_star,
 
 from __future__ import annotations
 
-import enum
 import math
 import operator
 from dataclasses import dataclass, field
@@ -31,8 +30,6 @@ from .errors import ParameterError
 __all__ = [
     "ErrorLaw",
     "ElementPair",
-    "ProbabilityCurve",
-    "LawKind",
     "crossover_h_star",
     "prob_two_step",
     "prob_sigmoid",
@@ -42,7 +39,10 @@ __all__ = [
 
 
 def _checked_order(order) -> int:
+    """An element order: an integer >= 1, not a bool."""
     try:
+        if isinstance(order, bool):
+            raise TypeError
         order = operator.index(order)
     except TypeError:
         raise ParameterError(f"order must be an integer, got {order!r}") from None
@@ -178,49 +178,14 @@ def prob_sigmoid_complement(pair: ElementPair, h: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-class LawKind(enum.Enum):
-    """Which closed-form law a tabulation should evaluate."""
+def tabulate_curve(pair: ElementPair, h_grid, law) -> tuple[float, ...]:
+    """`law(pair, h)` for each h of `h_grid` (non-empty, strictly increasing, positive).
 
-    TWO_STEP = "two_step"
-    SIGMOID = "sigmoid"
-
-
-_LAW_FUNCTIONS = {
-    LawKind.TWO_STEP: prob_two_step,
-    LawKind.SIGMOID: prob_sigmoid,
-}
-
-
-@dataclass(frozen=True)
-class ProbabilityCurve:
-    """A law tabulated on a strictly increasing mesh-size grid."""
-
-    pair: ElementPair
-    samples: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        hs = [h for h, _ in self.samples]
-        if any(b <= a for a, b in zip(hs, hs[1:])):
-            raise ParameterError("curve h values must be strictly increasing")
-        if any(not 0.0 <= p <= 1.0 for _, p in self.samples):
-            raise ParameterError("curve probabilities must lie in [0, 1]")
-
-    @property
-    def h_values(self) -> tuple[float, ...]:
-        return tuple(h for h, _ in self.samples)
-
-    @property
-    def p_values(self) -> tuple[float, ...]:
-        return tuple(p for _, p in self.samples)
-
-
-def tabulate_curve(pair: ElementPair, h_grid, law: LawKind) -> ProbabilityCurve:
-    """Evaluate `law` on `h_grid` (non-empty, strictly increasing, positive)."""
+    `law` is `prob_two_step` or `prob_sigmoid`.
+    """
     grid = [_checked_h(h) for h in h_grid]
     if not grid:
         raise ParameterError("h_grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ParameterError("h_grid must be strictly increasing")
-    law = LawKind(law)
-    fn = _LAW_FUNCTIONS[law]
-    return ProbabilityCurve(pair, tuple((h, fn(pair, h)) for h in grid))
+    return tuple(law(pair, h) for h in grid)

@@ -29,13 +29,11 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
 from .laws import ElementPair, _checked_h
-from .rng import derive_key, uniform_at, uniforms
+from .rng import derive_key, uniforms
 
 __all__ = [
-    "UniformErrorSample",
     "McEstimate",
     "ConditionalIdentityReport",
-    "draw_sample",
     "draw_error_samples",
     "trapezium_ratio",
     "mc_estimate",
@@ -54,18 +52,6 @@ _STREAM_CONDITIONAL = 4
 # per array, so every pass over a block stays in L2 (2**13..2**18 measured;
 # 2**15 was fastest)
 _BLOCK = 1 << 15
-
-
-@dataclass(frozen=True)
-class UniformErrorSample:
-    """One joint draw of the two modeled errors for a fixed (pair, h)."""
-
-    x_low: float
-    x_high: float
-
-    def __post_init__(self):
-        if self.x_low < 0.0 or self.x_high < 0.0:
-            raise ParameterError("error samples must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -107,19 +93,6 @@ def _intervals(pair: ElementPair, h: float) -> tuple[float, float]:
     """Upper endpoints (low family, high family) of the two error intervals."""
     h = _checked_h(h)
     return pair.low.bound(h), pair.high.bound(h)
-
-
-def draw_sample(pair: ElementPair, h: float, seed: int, index: int) -> UniformErrorSample:
-    """Joint sample number `index` of the stream defined by `seed`.
-
-    A pure function of (seed, index): inspecting one trial never requires
-    generating its predecessors.  Consistent with `draw_error_samples`.
-    """
-    top_low, top_high = _intervals(pair, h)
-    return UniformErrorSample(
-        x_low=uniform_at(derive_key(seed, _STREAM_LOW), index) * top_low,
-        x_high=uniform_at(derive_key(seed, _STREAM_HIGH), index) * top_high,
-    )
 
 
 def draw_error_samples(

@@ -75,6 +75,29 @@ class FittedLaw:
         return abs(self.rate - self.order) <= window
 
 
+def _checked_n_list(n_list: Sequence[int]) -> None:
+    if not n_list:
+        raise ParameterError("n_list must be non-empty")
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ParameterError("n_list must be strictly increasing")
+
+
+def _solve_record(
+    problem: Problem1D, order: int, n: int, jitter: float, trial_seed: int
+) -> ConvergenceRecord:
+    """Mesh, solve and H1 error of one trial, as its record."""
+    mesh = build_mesh(n, jitter, trial_seed)
+    full, semi = h1_error(assemble_solve(mesh, order, problem), problem)
+    return ConvergenceRecord(
+        order=order,
+        n_elements=n,
+        h_max=mesh.h_max,
+        error_h1=full,
+        error_h1_semi=semi,
+        seed=trial_seed,
+    )
+
+
 def convergence_study(
     problem: Problem1D,
     order: int,
@@ -88,30 +111,14 @@ def convergence_study(
     Per-trial seeds are derived from (seed, n, trial), so the record list
     is reproducible and independent of evaluation order.
     """
-    if not n_list:
-        raise ParameterError("n_list must be non-empty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ParameterError("n_list must be strictly increasing")
+    _checked_n_list(n_list)
     if trials_per_n < 1:
         raise ParameterError("trials_per_n must be >= 1")
-    records = []
-    for n in n_list:
-        for trial in range(trials_per_n):
-            trial_seed = derive_key(seed, _STREAM_STUDY, n, trial)
-            mesh = build_mesh(n, jitter, trial_seed)
-            solution = assemble_solve(mesh, order, problem)
-            full, semi = h1_error(solution, problem)
-            records.append(
-                ConvergenceRecord(
-                    order=order,
-                    n_elements=n,
-                    h_max=mesh.h_max,
-                    error_h1=full,
-                    error_h1_semi=semi,
-                    seed=trial_seed,
-                )
-            )
-    return records
+    return [
+        _solve_record(problem, order, n, jitter, derive_key(seed, _STREAM_STUDY, n, trial))
+        for n in n_list
+        for trial in range(trials_per_n)
+    ]
 
 
 def fit_constant(
@@ -153,77 +160,6 @@ def fit_constant(
     )
 
 
-def _superiority_trial(
-    problem: Problem1D,
-    order_low: int,
-    order_high: int,
-    n_elements: int,
-    jitter: float,
-    seed: int,
-    trial: int,
-) -> tuple[ConvergenceRecord, ConvergenceRecord]:
-    """One independent mesh pair, one record per family."""
-    pair_records = []
-    for role, order in enumerate((order_low, order_high)):
-        trial_seed = derive_key(seed, _STREAM_SUPERIORITY, n_elements, trial, role)
-        mesh = build_mesh(n_elements, jitter, trial_seed)
-        solution = assemble_solve(mesh, order, problem)
-        full, semi = h1_error(solution, problem)
-        pair_records.append(
-            ConvergenceRecord(
-                order=order,
-                n_elements=n_elements,
-                h_max=mesh.h_max,
-                error_h1=full,
-                error_h1_semi=semi,
-                seed=trial_seed,
-            )
-        )
-    return pair_records[0], pair_records[1]
-
-
-def _superiority_records(
-    problem: Problem1D,
-    order_low: int,
-    order_high: int,
-    n_elements: int,
-    trials: int,
-    jitter: float,
-    seed: int,
-) -> list[tuple[ConvergenceRecord, ConvergenceRecord]]:
-    if order_low >= order_high:
-        raise ParameterError(
-            f"order_low must be < order_high, got {order_low} >= {order_high}"
-        )
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
-    return [
-        _superiority_trial(problem, order_low, order_high, n_elements, jitter, seed, t)
-        for t in range(trials)
-    ]
-
-
-def empirical_superiority(
-    problem: Problem1D,
-    order_low: int,
-    order_high: int,
-    n_elements: int,
-    trials: int,
-    jitter: float,
-    seed: int,
-) -> McEstimate:
-    """Frequency of "high-order error <= low-order error" over mesh pairs.
-
-    Each trial draws one independent jittered mesh per family (fresh seeds
-    for both), solves both problems, and compares full H1 errors.
-    """
-    pairs = _superiority_records(
-        problem, order_low, order_high, n_elements, trials, jitter, seed
-    )
-    wins = sum(1 for lo, hi in pairs if hi.error_h1 <= lo.error_h1)
-    return McEstimate(p_hat=wins / trials, n_trials=trials, seed=seed)
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """Superiority estimate at one element count, with the mean mesh size."""
@@ -248,28 +184,57 @@ def superiority_sweep(
     so callers can fit constants from exactly the data that produced the
     frequencies.
     """
-    if not n_list:
-        raise ParameterError("n_list must be non-empty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ParameterError("n_list must be strictly increasing")
-    points = []
-    all_records = []
-    for n in n_list:
-        pairs = _superiority_records(
-            problem, order_low, order_high, n, trials, jitter, seed
+    _checked_n_list(n_list)
+    if order_low >= order_high:
+        raise ParameterError(
+            f"order_low must be < order_high, got {order_low} >= {order_high}"
         )
-        wins = sum(1 for lo, hi in pairs if hi.error_h1 <= lo.error_h1)
-        h_values = [r.h_max for pair in pairs for r in pair]
+    if trials < 1:
+        raise ParameterError("trials must be >= 1")
+    points = []
+    records = []
+    for n in n_list:
+        wins = 0
+        for trial in range(trials):
+            # one independent mesh per family, fresh seeds for both
+            low, high = (
+                _solve_record(
+                    problem, order, n, jitter,
+                    derive_key(seed, _STREAM_SUPERIORITY, n, trial, role),
+                )
+                for role, order in enumerate((order_low, order_high))
+            )
+            wins += high.error_h1 <= low.error_h1
+            records.extend((low, high))
         points.append(
             SweepPoint(
                 n_elements=n,
-                h_mean=float(np.mean(h_values)),
+                h_mean=float(np.mean([r.h_max for r in records[-2 * trials:]])),
                 estimate=McEstimate(p_hat=wins / trials, n_trials=trials, seed=seed),
             )
         )
-        for lo, hi in pairs:
-            all_records.extend((lo, hi))
-    return points, all_records
+    return points, records
+
+
+def empirical_superiority(
+    problem: Problem1D,
+    order_low: int,
+    order_high: int,
+    n_elements: int,
+    trials: int,
+    jitter: float,
+    seed: int,
+) -> McEstimate:
+    """Frequency of "high-order error <= low-order error" over mesh pairs.
+
+    The one-point `superiority_sweep`: each trial draws one independent
+    jittered mesh per family, solves both problems, and compares full H1
+    errors.
+    """
+    points, _ = superiority_sweep(
+        problem, order_low, order_high, [n_elements], trials, jitter, seed
+    )
+    return points[0].estimate
 
 
 def _non_increasing_fit(values: np.ndarray) -> np.ndarray:

@@ -1,0 +1,46 @@
+"""The public names: every exported name resolves, and the README's Python
+example runs against the code as it stands."""
+
+import ast
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import femprob
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+SUBMODULES = [f"femprob.{m.name}" for m in pkgutil.iter_modules(femprob.__path__)]
+
+
+@pytest.mark.parametrize("name", ["femprob", *SUBMODULES])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse(Path(femprob.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    assert sorted(femprob.__all__) == sorted(imported | {"__version__"})
+
+
+def test_readme_python_block_runs():
+    # the README shows results as "expression  # value"; a plain number is
+    # checked exactly, anything else ("~0.75", a tuple) only has to run
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    namespace = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    checked = 0
+    for code, value in re.findall(r"^([^=#\n]+?)\s+# (-?\d+\.?\d*)\b", block, re.M):
+        assert eval(code, namespace) == float(value), code
+        checked += 1
+    assert checked >= 3

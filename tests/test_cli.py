@@ -158,6 +158,14 @@ class TestFemCommand:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a_fit.csv").read_bytes() == (tmp_path / "b_fit.csv").read_bytes()
 
+    def test_one_file_spelled_two_ways(self, tmp_path):
+        # records and fits share one file however its path is spelled
+        args = ["fem", "--problem", "sine", "--orders", "1", "--n-list", "4,8,16"]
+        run_cli(*args, "--out", tmp_path / "a.csv", "--fit-out", tmp_path / "a.csv")
+        run_cli(*args, "--out", tmp_path / "b.csv", "--fit-out", f"{tmp_path}/./b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
+
     def test_unknown_problem_diagnosed(self):
         result = run_cli("fem", "--problem", "warp", expect=2)
         assert "unknown problem" in result.stderr

@@ -10,6 +10,7 @@ from numpy.polynomial import Polynomial
 from scipy.linalg import solveh_banded
 
 from femprob import (
+    FemSolution,
     ParameterError,
     Problem1D,
     assemble_solve,
@@ -124,7 +125,8 @@ class TestAssembleSolve:
     def test_quadratic_contained_in_p2(self):
         mesh = build_mesh(4, 0.35, seed=5)
         solution = assemble_solve(mesh, 2, POLY2)
-        x = solution.node_coordinates()
+        interior = mesh.nodes[:-1, None] + mesh.gaps[:, None] * [0.0, 0.5]
+        x = np.append(interior.ravel(), 1.0)
         np.testing.assert_allclose(
             solution.coefficients, x * (1.0 - x), atol=1e-10
         )
@@ -142,9 +144,10 @@ class TestAssembleSolve:
 
     def test_rejects_out_of_range_order(self):
         mesh = build_mesh(4, 0.0, seed=0)
-        for order in (0, 11, -1, 2.5):
+        for order in (0, 11, -1, 2.5, True):
             with pytest.raises(ParameterError):
                 assemble_solve(mesh, order, SINE)
+        assert assemble_solve(mesh, np.int64(2), SINE).order == 2
 
     @pytest.mark.parametrize("order,n", [(1, 9), (3, 6), (5, 4)])
     def test_matches_dense_oracle(self, order, n):
@@ -205,6 +208,22 @@ class TestAssembleSolve:
         solution = assemble_solve(mesh, order, SINE)
         assert galerkin_residual(solution, SINE) <= 1e-9
 
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_galerkin_residual_fine_mesh(self, order):
+        # only the solve's rounding is left: about 2e-10 at every order
+        mesh = build_mesh(4096, 0.3, seed=order)
+        assert galerkin_residual(assemble_solve(mesh, order, SINE), SINE) <= 1e-9
+
+    @pytest.mark.parametrize("n", [2, 12])
+    @pytest.mark.parametrize("order", [1, 4, 10])
+    def test_galerkin_residual_sees_a_scaled_solution(self, order, n):
+        # a(u_h (1 + d), phi) = (1 + d) l(phi), so the residual reads d
+        solution = assemble_solve(build_mesh(n, 0.3, seed=order), order, SINE)
+        scaled = FemSolution(
+            order, solution.mesh, solution.slopes * (1 + 1e-6), solution.bubbles * (1 + 1e-6)
+        )
+        assert galerkin_residual(scaled, SINE) >= 1e-7
+
 
 class TestH1Error:
     def test_contained_solution_error_vanishes(self):
@@ -242,7 +261,7 @@ class TestH1Error:
         solution = assemble_solve(mesh, 1, SINE)
         _, semi = h1_error(solution, SINE)
         u_energy = np.pi**2 / 2.0  # integral of (pi cos(pi x))^2
-        nodes = solution.node_coordinates()
+        nodes = mesh.nodes  # the degree-1 nodes are the vertices
         slopes = np.diff(solution.coefficients) / np.diff(nodes)
         uh_energy = float(np.sum(slopes**2 * np.diff(nodes)))
         assert semi**2 == pytest.approx(u_energy - uh_energy, rel=1e-8)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from femprob import (
     ElementPair,
     ErrorLaw,
-    LawKind,
     ParameterError,
     crossover_h_star,
     prob_sigmoid,
@@ -49,7 +48,7 @@ def mc_win_frequency(pair, h, n, rng):
 
 class TestErrorLaw:
     def test_rejects_bad_order(self):
-        for order in (0, -1, 1.5, "2"):
+        for order in (0, -1, 1.5, "2", True):
             with pytest.raises(ParameterError):
                 ErrorLaw(order, 1.0)
 
@@ -226,29 +225,20 @@ class TestSigmoid:
 
 class TestTabulate:
     def test_single_point_at_crossover(self):
-        curve = tabulate_curve(REFERENCE, [REFERENCE.h_star], LawKind.SIGMOID)
-        assert curve.samples == ((0.5, 0.5),)
+        assert tabulate_curve(REFERENCE, [REFERENCE.h_star], prob_sigmoid) == (0.5,)
 
     def test_two_step_branch_values(self):
-        curve = tabulate_curve(
-            REFERENCE, [REFERENCE.h_star / 2, REFERENCE.h_star], LawKind.TWO_STEP
-        )
-        assert curve.samples == ((0.25, 1.0), (0.5, 0.5))
+        grid = [REFERENCE.h_star / 2, REFERENCE.h_star]
+        assert tabulate_curve(REFERENCE, grid, prob_two_step) == (1.0, 0.5)
 
     def test_log_grid_strictly_decreasing(self):
-        grid = np.geomspace(0.01, 10.0, 100)
-        curve = tabulate_curve(REFERENCE, grid, LawKind.SIGMOID)
-        p = curve.p_values
+        p = tabulate_curve(REFERENCE, np.geomspace(0.01, 10.0, 100), prob_sigmoid)
         assert all(a > b for a, b in zip(p, p[1:]))
-
-    def test_accepts_enum_by_value(self):
-        curve = tabulate_curve(REFERENCE, [0.5], "two_step")
-        assert curve.samples == ((0.5, 0.5),)
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ParameterError):
-            tabulate_curve(REFERENCE, [], LawKind.SIGMOID)
+            tabulate_curve(REFERENCE, [], prob_sigmoid)
         with pytest.raises(ParameterError):
-            tabulate_curve(REFERENCE, [0.5, 0.25], LawKind.SIGMOID)
+            tabulate_curve(REFERENCE, [0.5, 0.25], prob_sigmoid)
         with pytest.raises(ParameterError):
-            tabulate_curve(REFERENCE, [0.0, 0.5], LawKind.SIGMOID)
+            tabulate_curve(REFERENCE, [0.0, 0.5], prob_sigmoid)

@@ -9,7 +9,6 @@ from femprob import (
     InsufficientDataError,
     ParameterError,
     draw_error_samples,
-    draw_sample,
     conditional_identity_check,
     mc_estimate,
     numeric_area_oracle,
@@ -141,13 +140,6 @@ class TestDrawSamples:
         x_low, x_high = draw_error_samples(REFERENCE, 0.25, 10_000, 3)
         assert np.all((x_low >= 0) & (x_low <= REFERENCE.low.bound(0.25)))
         assert np.all((x_high >= 0) & (x_high <= REFERENCE.high.bound(0.25)))
-
-    def test_scalar_draw_matches_bulk(self):
-        x_low, x_high = draw_error_samples(REFERENCE, 0.25, 100, 17)
-        for index in (0, 42, 99):
-            sample = draw_sample(REFERENCE, 0.25, 17, index)
-            assert sample.x_low == x_low[index]
-            assert sample.x_high == x_high[index]
 
 
 class TestConditionalIdentity:
