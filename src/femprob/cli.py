@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 a requested validation failed, 2 invalid usage.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from pathlib import Path
@@ -33,27 +34,33 @@ from .study import (
     superiority_sweep,
 )
 
-_DEFAULT_SEED = 42
-
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    """Parse `key=value` lines; `#` comments and blank lines are ignored.
+class _Finite(click.FloatRange):
+    """A float range that also refuses NaN and the infinities."""
 
-    The keys are the long flag names of the running subcommand (`-` or `_`
-    spelled); any other key is rejected rather than silently ignored.
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if not math.isfinite(number):
+            self.fail(f"{number} is not a finite number.", param, ctx)
+        return number
+
+
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Parse `key=value` lines into the command's `default_map`.
+
+    `#` comments and blank lines are ignored.  The keys are the long flag
+    names of the running subcommand (`-` or `_` spelled); click converts and
+    checks each value exactly as it would the flag, and an explicit flag
+    still wins.  An unknown key, or one given twice, is rejected rather than
+    silently dropped.
     """
     if path is None:
-        return {}
-    command = click.get_current_context().command
-    known = {
-        param.opts[0].lstrip("-").replace("-", "_")
-        for param in command.params
-        if param.name != "config_path"
-    }
+        return
+    known = {other.name for other in ctx.command.params if other is not param}
     values: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -62,67 +69,41 @@ def _load_config(path: str | None) -> dict[str, str]:
         if "=" not in line:
             raise ParameterError(f"config line {raw!r} is not key=value")
         key, value = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in values:
+            raise ParameterError(f"config key {key!r} is given twice")
+        values[key] = value.strip()
     unknown = sorted(values.keys() - known)
     if unknown:
         raise ParameterError(
             f"unknown config key {', '.join(map(repr, unknown))} for"
-            f" 'femprob {command.name}'; known keys: {', '.join(sorted(known))}"
+            f" 'femprob {ctx.command.name}'; known keys: {', '.join(sorted(known))}"
         )
-    return values
+    ctx.default_map = values
 
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _cast_bool(text: str) -> bool:
-    lowered = text.lower()
-    if lowered in _TRUE:
-        return True
-    if lowered in _FALSE:
-        return False
-    raise ParameterError(f"expected a boolean, got {text!r}")
-
-
-def _resolve(config: dict[str, str], name: str, flag, cast, default=None, required=False):
-    """Flag value if given, else config file value, else default."""
-    if flag is not None:
-        return flag
-    if name in config:
-        text = config[name]
-        try:
-            return _cast_bool(text) if cast is bool else cast(text)
-        except ValueError as exc:
-            raise ParameterError(f"config {name}={text!r}: {exc}") from exc
-    if required and default is None:
-        raise ParameterError(f"missing required parameter --{name.replace('_', '-')}")
-    return default
-
-
-def _parse_int_list(text: str) -> list[int]:
+def _int_list(ctx: click.Context, param: click.Parameter, text: str) -> list[int]:
     try:
-        return [int(part) for part in str(text).split(",") if part.strip()]
+        return [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise ParameterError(f"expected a comma-separated integer list: {exc}") from exc
+        raise click.BadParameter(f"expected a comma-separated integer list: {exc}") from exc
+
+
+def _orders(ctx: click.Context, param: click.Parameter, text: str) -> list[int]:
+    orders = _int_list(ctx, param, text)
+    if not orders or len(set(orders)) < len(orders):
+        raise click.BadParameter(f"expected one or more distinct orders, got {text!r}")
+    return orders
 
 
 def _h_grid(h_min: float, h_max: float, points: int, spacing: str) -> np.ndarray:
-    if points < 1:
-        raise ParameterError(f"points must be >= 1, got {points}")
-    if h_min <= 0.0 or h_max <= 0.0:
-        raise ParameterError("h-min and h-max must be positive")
     if points == 1:
         if h_min != h_max:
             raise ParameterError("a single-point grid needs h-min == h-max")
         return np.array([h_min])
     if h_min >= h_max:
         raise ParameterError("h-min must be < h-max")
-    if spacing == "log":
-        return np.geomspace(h_min, h_max, points)
-    if spacing == "linear":
-        return np.linspace(h_min, h_max, points)
-    raise ParameterError(f"spacing must be 'log' or 'linear', got {spacing!r}")
+    return (np.geomspace if spacing == "log" else np.linspace)(h_min, h_max, points)
 
 
 def _emit(out: str, lines: list[str], *more: tuple[str, list[str]]) -> None:
@@ -165,331 +146,287 @@ def _emit(out: str, lines: list[str], *more: tuple[str, list[str]]) -> None:
         raise
 
 
-def _run(body):
-    """Run a command body; bad input or an unusable file path exits 2."""
-    try:
-        body()
-    except (FemProbError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+class _Femprob(click.Group):
+    """The command group and its one error boundary: bad usage, bad input or
+    an unusable file path leaves as one `error:` line and exit 2."""
+
+    def main(self, *args, **kwargs):
+        kwargs["standalone_mode"] = False
+        try:
+            return super().main(*args, **kwargs)
+        except click.exceptions.NoArgsIsHelpError as exc:
+            exc.show()  # bare `femprob` prints the group help
+            sys.exit(exc.exit_code)
+        except click.Abort:
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
+        except click.MissingParameter as exc:
+            message = f"missing required parameter {exc.param.opts[0]}"
+        except click.ClickException as exc:
+            message = exc.format_message()
+        except (FemProbError, OSError) as exc:
+            message = str(exc)
+        click.echo(f"error: {message}", err=True)
         sys.exit(2)
 
 
-@click.group()
+@click.group(cls=_Femprob)
 def main():
     """Probabilistic accuracy comparison of low- vs high-order elements."""
 
 
-_seed_option = click.option("--seed", type=int, default=None, help="64-bit experiment seed.")
-_out_option = click.option("--out", default=None, help="Output path, '-' for stdout.")
+_seed_option = click.option("--seed", type=int, default=42, help="64-bit experiment seed.")
+_out_option = click.option("--out", default="-", help="Output path, '-' for stdout.")
 _config_option = click.option(
-    "--config", "config_path", default=None, help="key=value file; flags override it."
+    "--config",
+    callback=_load_config,
+    is_eager=True,
+    expose_value=False,
+    help="key=value file; flags override it.",
 )
+_problem_option = click.option("--problem", default="sine", help="Library problem name.")
+_positive = _Finite(0.0, min_open=True)
 
 
-def _pair_from(config, ck, k, cm, m) -> ElementPair:
-    ck = _resolve(config, "ck", ck, float, required=True)
-    k = _resolve(config, "k", k, int, required=True)
-    cm = _resolve(config, "cm", cm, float, required=True)
-    m = _resolve(config, "m", m, int, required=True)
-    return ElementPair.from_constants(ck, k, cm, m)
+def _grid_options(points: int):
+    """The element pair and the mesh-size grid that `law` and `mc` share."""
+    options = (
+        click.option("--ck", type=float, required=True, help="Low-order error constant."),
+        click.option("--k", type=int, required=True, help="Low polynomial order."),
+        click.option("--cm", type=float, required=True, help="High-order error constant."),
+        click.option("--m", type=int, required=True, help="High polynomial order."),
+        click.option("--h-min", type=_positive, required=True),
+        click.option("--h-max", type=_positive, required=True),
+        click.option("--points", type=click.IntRange(min=1), default=points),
+        click.option("--spacing", type=click.Choice(["log", "linear"]), default="log"),
+    )
+
+    def apply(command):
+        for option in reversed(options):
+            command = option(command)
+        return command
+
+    return apply
 
 
 @main.command()
-@click.option("--ck", type=float, default=None, help="Low-order error constant.")
-@click.option("--k", type=int, default=None, help="Low polynomial order.")
-@click.option("--cm", type=float, default=None, help="High-order error constant.")
-@click.option("--m", type=int, default=None, help="High polynomial order.")
-@click.option("--h-min", type=float, default=None)
-@click.option("--h-max", type=float, default=None)
-@click.option("--points", type=int, default=None)
-@click.option("--spacing", type=click.Choice(["log", "linear"]), default=None)
+@_grid_options(points=100)
 @_out_option
 @_config_option
-def law(ck, k, cm, m, h_min, h_max, points, spacing, out, config_path):
+def law(ck, k, cm, m, h_min, h_max, points, spacing, out):
     """Tabulate both closed-form laws on a mesh-size grid."""
-
-    def body():
-        config = _load_config(config_path)
-        pair = _pair_from(config, ck, k, cm, m)
-        grid = _h_grid(
-            _resolve(config, "h_min", h_min, float, required=True),
-            _resolve(config, "h_max", h_max, float, required=True),
-            _resolve(config, "points", points, int, default=100),
-            _resolve(config, "spacing", spacing, str, default="log"),
-        )
-        out_path = _resolve(config, "out", out, str, default="-")
-        step = tabulate_curve(pair, grid, prob_two_step)
-        smooth = tabulate_curve(pair, grid, prob_sigmoid)
-        lines = [
-            "# femprob law",
-            f"# ck={_fmt(pair.low.constant)} k={pair.low.order}"
-            f" cm={_fmt(pair.high.constant)} m={pair.high.order}",
-            f"# h_star={_fmt(pair.h_star)}",
-            "h,p_two_step,p_sigmoid",
-        ]
-        for h, p_step, p_sig in zip(grid, step, smooth):
-            lines.append(f"{_fmt(h)},{_fmt(p_step)},{_fmt(p_sig)}")
-        _emit(out_path, lines)
-
-    _run(body)
+    pair = ElementPair.from_constants(ck, k, cm, m)
+    grid = _h_grid(h_min, h_max, points, spacing)
+    step = tabulate_curve(pair, grid, prob_two_step)
+    smooth = tabulate_curve(pair, grid, prob_sigmoid)
+    lines = [
+        "# femprob law",
+        f"# ck={_fmt(pair.low.constant)} k={pair.low.order}"
+        f" cm={_fmt(pair.high.constant)} m={pair.high.order}",
+        f"# h_star={_fmt(pair.h_star)}",
+        "h,p_two_step,p_sigmoid",
+    ]
+    for h, p_step, p_sig in zip(grid, step, smooth):
+        lines.append(f"{_fmt(h)},{_fmt(p_step)},{_fmt(p_sig)}")
+    _emit(out, lines)
 
 
 @main.command()
-@click.option("--ck", type=float, default=None, help="Low-order error constant.")
-@click.option("--k", type=int, default=None, help="Low polynomial order.")
-@click.option("--cm", type=float, default=None, help="High-order error constant.")
-@click.option("--m", type=int, default=None, help="High polynomial order.")
-@click.option("--h-min", type=float, default=None)
-@click.option("--h-max", type=float, default=None)
-@click.option("--points", type=int, default=None)
-@click.option("--spacing", type=click.Choice(["log", "linear"]), default=None)
-@click.option("--trials", type=int, default=None, help="Monte Carlo trials per grid point.")
-@click.option("--sigma-factor", type=float, default=None, help="Validation band half-width.")
-@click.option("--validate/--no-validate", "validate", default=None)
+@_grid_options(points=20)
+@click.option("--trials", type=int, default=10**6, help="Monte Carlo trials per grid point.")
+@click.option("--sigma-factor", type=_positive, default=3.0,
+              help="Validation band half-width.")
+@click.option("--validate/--no-validate", default=True)
 @_seed_option
 @_out_option
 @_config_option
 def mc(ck, k, cm, m, h_min, h_max, points, spacing, trials, sigma_factor, validate,
-       seed, out, config_path):
+       seed, out):
     """Monte Carlo validation of the sigmoid law over a grid.
 
     Exits nonzero if any grid point falls outside the sigma band (unless
     --no-validate).
     """
-
-    def body():
-        config = _load_config(config_path)
-        pair = _pair_from(config, ck, k, cm, m)
-        grid = _h_grid(
-            _resolve(config, "h_min", h_min, float, required=True),
-            _resolve(config, "h_max", h_max, float, required=True),
-            _resolve(config, "points", points, int, default=20),
-            _resolve(config, "spacing", spacing, str, default="log"),
+    pair = ElementPair.from_constants(ck, k, cm, m)
+    grid = _h_grid(h_min, h_max, points, spacing)
+    lines = [
+        "# femprob mc",
+        f"# ck={_fmt(pair.low.constant)} k={pair.low.order}"
+        f" cm={_fmt(pair.high.constant)} m={pair.high.order}",
+        f"# trials={trials} seed={seed} sigma_factor={_fmt(sigma_factor)}"
+        f" validate={str(validate).lower()}",
+        "h,p_analytic,p_hat,std_error,within_3sigma",
+    ]
+    all_within = True
+    for index, h in enumerate(grid):
+        p = prob_sigmoid(pair, float(h))
+        estimate = mc_estimate(pair, float(h), trials, derive_key(seed, index))
+        band = sigma_factor * np.sqrt(p * (1.0 - p) / trials)
+        within = abs(estimate.p_hat - p) <= band
+        all_within &= within
+        lines.append(
+            f"{_fmt(h)},{_fmt(p)},{_fmt(estimate.p_hat)},"
+            f"{_fmt(estimate.std_error)},{str(within).lower()}"
         )
-        n_trials = _resolve(config, "trials", trials, int, default=10**6)
-        factor = _resolve(config, "sigma_factor", sigma_factor, float, default=3.0)
-        check = _resolve(config, "validate", validate, bool, default=True)
-        the_seed = _resolve(config, "seed", seed, int, default=_DEFAULT_SEED)
-        out_path = _resolve(config, "out", out, str, default="-")
-
-        lines = [
-            "# femprob mc",
-            f"# ck={_fmt(pair.low.constant)} k={pair.low.order}"
-            f" cm={_fmt(pair.high.constant)} m={pair.high.order}",
-            f"# trials={n_trials} seed={the_seed} sigma_factor={_fmt(factor)}"
-            f" validate={str(check).lower()}",
-            "h,p_analytic,p_hat,std_error,within_3sigma",
-        ]
-        all_within = True
-        for index, h in enumerate(grid):
-            p = prob_sigmoid(pair, float(h))
-            estimate = mc_estimate(pair, float(h), n_trials, derive_key(the_seed, index))
-            band = factor * np.sqrt(p * (1.0 - p) / n_trials)
-            within = abs(estimate.p_hat - p) <= band
-            all_within &= within
-            lines.append(
-                f"{_fmt(h)},{_fmt(p)},{_fmt(estimate.p_hat)},"
-                f"{_fmt(estimate.std_error)},{str(within).lower()}"
-            )
-        _emit(out_path, lines)
-        if check and not all_within:
-            click.echo("error: Monte Carlo estimates left the sigma band", err=True)
-            sys.exit(1)
-
-    _run(body)
+    _emit(out, lines)
+    if validate and not all_within:
+        click.echo("error: Monte Carlo estimates left the sigma band", err=True)
+        sys.exit(1)
 
 
 @main.command()
-@click.option("--problem", "problem_name", default=None, help="Library problem name.")
-@click.option("--orders", default=None, help="Comma-separated element orders.")
-@click.option("--n-list", default=None, help="Comma-separated element counts.")
-@click.option("--jitter", type=float, default=None)
-@click.option("--trials", type=int, default=None, help="Meshes per element count.")
-@click.option("--fix-rate/--free-rate", "fix_rate", default=None)
+@_problem_option
+@click.option("--orders", default="1,2,3", callback=_orders,
+              help="Comma-separated element orders.")
+@click.option("--n-list", default="8,16,32,64,128,256,512", callback=_int_list,
+              help="Comma-separated element counts.")
+@click.option("--jitter", type=float, default=0.0)
+@click.option("--trials", type=int, default=1, help="Meshes per element count.")
+@click.option("--fix-rate/--free-rate", default=False)
 @click.option("--fit-out", default=None, help="Fit summary path (default: derived).")
-@click.option("--validate-rates/--no-validate-rates", "validate_rates", default=None)
-@click.option("--rate-window", type=float, default=None)
+@click.option("--validate-rates/--no-validate-rates", default=False)
+@click.option("--rate-window", type=_Finite(0.0), default=0.15)
 @_seed_option
 @_out_option
 @_config_option
-def fem(problem_name, orders, n_list, jitter, trials, fix_rate, fit_out,
-        validate_rates, rate_window, seed, out, config_path):
+def fem(problem, orders, n_list, jitter, trials, fix_rate, fit_out, validate_rates,
+        rate_window, seed, out):
     """Convergence records plus power-law fits for each element order."""
+    problem = get_problem(problem)
+    if fit_out is None:
+        stem = Path(out)
+        fit_out = "-" if out == "-" else str(stem.with_name(f"{stem.stem}_fit{stem.suffix}"))
 
-    def body():
-        config = _load_config(config_path)
-        problem = get_problem(_resolve(config, "problem", problem_name, str, default="sine"))
-        order_list = _parse_int_list(_resolve(config, "orders", orders, str, default="1,2,3"))
-        counts = _parse_int_list(
-            _resolve(config, "n_list", n_list, str, default="8,16,32,64,128,256,512")
+    records = []
+    for order in orders:
+        records.extend(convergence_study(problem, order, n_list, jitter, trials, seed))
+
+    head = [
+        "# femprob fem",
+        f"# problem={problem.name} orders={','.join(map(str, orders))}"
+        f" n_list={','.join(map(str, n_list))}",
+        f"# jitter={_fmt(jitter)} trials={trials} seed={seed}"
+        f" fix_rate={str(fix_rate).lower()}",
+    ]
+    record_lines = head + records_to_csv(records).splitlines()
+
+    fit_lines = [
+        "# femprob fem fits",
+        f"# rate_window={_fmt(rate_window)} validate_rates={str(validate_rates).lower()}",
+        "order,constant,rate,residual",
+    ]
+    rates_ok = True
+    for order in orders:
+        try:
+            fitted = fit_constant(records, order, fix_rate=fix_rate)
+        except InsufficientDataError as exc:
+            fit_lines.append(f"# order {order}: fit refused: {exc}")
+            click.echo(f"order {order}: fit refused: {exc}", err=True)
+            rates_ok &= not validate_rates
+            continue
+        fit_lines.append(
+            f"{order},{_fmt(fitted.constant)},{_fmt(fitted.rate)},{_fmt(fitted.residual)}"
         )
-        beta = _resolve(config, "jitter", jitter, float, default=0.0)
-        per_n = _resolve(config, "trials", trials, int, default=1)
-        pinned = _resolve(config, "fix_rate", fix_rate, bool, default=False)
-        check = _resolve(config, "validate_rates", validate_rates, bool, default=False)
-        window = _resolve(config, "rate_window", rate_window, float, default=0.15)
-        the_seed = _resolve(config, "seed", seed, int, default=_DEFAULT_SEED)
-        out_path = _resolve(config, "out", out, str, default="-")
-        fit_path = _resolve(config, "fit_out", fit_out, str, default=None)
-        if fit_path is None:
-            if out_path == "-":
-                fit_path = "-"
-            else:
-                stem = Path(out_path)
-                fit_path = str(stem.with_name(stem.stem + "_fit" + stem.suffix))
-
-        records = []
-        for order in order_list:
-            records.extend(
-                convergence_study(problem, order, counts, beta, per_n, the_seed)
+        if abs(fitted.rate - order) > rate_window:
+            rates_ok &= not validate_rates
+            click.echo(
+                f"order {order}: fitted rate {fitted.rate:.4f} outside"
+                f" [{order - rate_window:.2f}, {order + rate_window:.2f}]",
+                err=True,
             )
 
-        head = [
-            "# femprob fem",
-            f"# problem={problem.name} orders={','.join(map(str, order_list))}"
-            f" n_list={','.join(map(str, counts))}",
-            f"# jitter={_fmt(beta)} trials={per_n} seed={the_seed}"
-            f" fix_rate={str(pinned).lower()}",
-        ]
-        record_lines = head + records_to_csv(records).splitlines()
-
-        fit_lines = [
-            "# femprob fem fits",
-            f"# rate_window={_fmt(window)} validate_rates={str(check).lower()}",
-            "order,constant,rate,residual",
-        ]
-        rates_ok = True
-        for order in order_list:
-            try:
-                fitted = fit_constant(records, order, fix_rate=pinned)
-            except InsufficientDataError as exc:
-                fit_lines.append(f"# order {order}: fit refused: {exc}")
-                click.echo(f"order {order}: fit refused: {exc}", err=True)
-                rates_ok &= not check
-                continue
-            fit_lines.append(
-                f"{order},{_fmt(fitted.constant)},{_fmt(fitted.rate)},{_fmt(fitted.residual)}"
-            )
-            if abs(fitted.rate - order) > window:
-                rates_ok &= not check
-                click.echo(
-                    f"order {order}: fitted rate {fitted.rate:.4f} outside"
-                    f" [{order - window:.2f}, {order + window:.2f}]",
-                    err=True,
-                )
-
-        if out_path == fit_path or (
-            "-" not in (out_path, fit_path)
-            and Path(out_path).resolve() == Path(fit_path).resolve()
-        ):
-            _emit(out_path, record_lines + fit_lines)
-        else:
-            _emit(out_path, record_lines, (fit_path, fit_lines))
-        if check and not rates_ok:
-            click.echo("error: fitted rates failed validation", err=True)
-            sys.exit(1)
-
-    _run(body)
+    if out == fit_out or (
+        "-" not in (out, fit_out) and Path(out).resolve() == Path(fit_out).resolve()
+    ):
+        _emit(out, record_lines + fit_lines)
+    else:
+        _emit(out, record_lines, (fit_out, fit_lines))
+    if validate_rates and not rates_ok:
+        click.echo("error: fitted rates failed validation", err=True)
+        sys.exit(1)
 
 
 @main.command()
-@click.option("--problem", "problem_name", default=None, help="Library problem name.")
-@click.option("--order-low", type=int, default=None)
-@click.option("--order-high", type=int, default=None)
-@click.option("--n-list", default=None, help="Comma-separated element counts.")
-@click.option("--jitter", type=float, default=None)
-@click.option("--trials", type=int, default=None, help="Mesh pairs per element count.")
-@click.option("--validate-crossing/--no-validate-crossing", "validate_crossing", default=None)
-@click.option("--crossing-factor", type=float, default=None)
-@click.option("--min-final-p", type=float, default=None)
+@_problem_option
+@click.option("--order-low", type=int, default=1)
+@click.option("--order-high", type=int, default=2)
+@click.option("--n-list", default="2,3,4,6,8,12,16,24,32,48,64", callback=_int_list,
+              help="Comma-separated element counts.")
+@click.option("--jitter", type=float, default=0.3)
+@click.option("--trials", type=int, default=100, help="Mesh pairs per element count.")
+@click.option("--validate-crossing/--no-validate-crossing", default=False)
+@click.option("--crossing-factor", type=_Finite(1.0), default=2.0)
+@click.option("--min-final-p", type=_Finite(0.0, 1.0), default=0.95)
 @_seed_option
 @_out_option
 @_config_option
-def compare(problem_name, order_low, order_high, n_list, jitter, trials,
-            validate_crossing, crossing_factor, min_final_p, seed, out, config_path):
+def compare(problem, order_low, order_high, n_list, jitter, trials, validate_crossing,
+            crossing_factor, min_final_p, seed, out):
     """Observed superiority frequencies against the fitted sigmoid model.
 
     Fits both error constants (rates pinned to the element orders) from the
     sweep's own records, reports the fitted crossover and the empirical
     0.5-crossing, and optionally validates their agreement.
     """
+    problem = get_problem(problem)
+    points, records = superiority_sweep(
+        problem, order_low, order_high, n_list, trials, jitter, seed
+    )
+    fitted_low = fit_constant(records, order_low, fix_rate=True)
+    fitted_high = fit_constant(records, order_high, fix_rate=True)
+    pair = ElementPair.from_constants(
+        fitted_low.constant, order_low, fitted_high.constant, order_high
+    )
+    h_means = [p.h_mean for p in points]
+    p_hats = [p.estimate.p_hat for p in points]
+    crossing = estimate_half_crossing(h_means, p_hats)
 
-    def body():
-        config = _load_config(config_path)
-        problem = get_problem(_resolve(config, "problem", problem_name, str, default="sine"))
-        k_low = _resolve(config, "order_low", order_low, int, default=1)
-        k_high = _resolve(config, "order_high", order_high, int, default=2)
-        counts = _parse_int_list(
-            _resolve(config, "n_list", n_list, str, default="2,3,4,6,8,12,16,24,32,48,64")
+    lines = [
+        "# femprob compare",
+        f"# problem={problem.name} order_low={order_low} order_high={order_high}",
+        f"# n_list={','.join(map(str, n_list))} trials={trials}"
+        f" jitter={_fmt(jitter)} seed={seed}",
+        f"# c_low_fitted={_fmt(fitted_low.constant)}"
+        f" c_high_fitted={_fmt(fitted_high.constant)}",
+        f"# h_star_fitted={_fmt(pair.h_star)}",
+        f"# h_crossing_empirical={_fmt(crossing) if crossing is not None else 'none'}",
+        f"# crossing_factor={_fmt(crossing_factor)} min_final_p={_fmt(min_final_p)}"
+        f" validate={str(validate_crossing).lower()}",
+        "n,h_mean,p_hat,std_error,p_model",
+    ]
+    for point in points:
+        model = prob_sigmoid(pair, point.h_mean)
+        lines.append(
+            f"{point.n_elements},{_fmt(point.h_mean)},{_fmt(point.estimate.p_hat)},"
+            f"{_fmt(point.estimate.std_error)},{_fmt(model)}"
         )
-        per_n = _resolve(config, "trials", trials, int, default=100)
-        beta = _resolve(config, "jitter", jitter, float, default=0.3)
-        check = _resolve(config, "validate_crossing", validate_crossing, bool, default=False)
-        factor = _resolve(config, "crossing_factor", crossing_factor, float, default=2.0)
-        final_p = _resolve(config, "min_final_p", min_final_p, float, default=0.95)
-        the_seed = _resolve(config, "seed", seed, int, default=_DEFAULT_SEED)
-        out_path = _resolve(config, "out", out, str, default="-")
+    _emit(out, lines)
 
-        points, records = superiority_sweep(
-            problem, k_low, k_high, counts, per_n, beta, the_seed
-        )
-        fitted_low = fit_constant(records, k_low, fix_rate=True)
-        fitted_high = fit_constant(records, k_high, fix_rate=True)
-        pair = ElementPair.from_constants(
-            fitted_low.constant, k_low, fitted_high.constant, k_high
-        )
-        h_means = [p.h_mean for p in points]
-        p_hats = [p.estimate.p_hat for p in points]
-        crossing = estimate_half_crossing(h_means, p_hats)
-
-        lines = [
-            "# femprob compare",
-            f"# problem={problem.name} order_low={k_low} order_high={k_high}",
-            f"# n_list={','.join(map(str, counts))} trials={per_n}"
-            f" jitter={_fmt(beta)} seed={the_seed}",
-            f"# c_low_fitted={_fmt(fitted_low.constant)}"
-            f" c_high_fitted={_fmt(fitted_high.constant)}",
-            f"# h_star_fitted={_fmt(pair.h_star)}",
-            f"# h_crossing_empirical={_fmt(crossing) if crossing is not None else 'none'}",
-            f"# crossing_factor={_fmt(factor)} min_final_p={_fmt(final_p)}"
-            f" validate={str(check).lower()}",
-            "n,h_mean,p_hat,std_error,p_model",
-        ]
-        for point in points:
-            model = prob_sigmoid(pair, point.h_mean)
-            lines.append(
-                f"{point.n_elements},{_fmt(point.h_mean)},{_fmt(point.estimate.p_hat)},"
-                f"{_fmt(point.estimate.std_error)},{_fmt(model)}"
-            )
-        _emit(out_path, lines)
-
-        click.echo(
-            f"fitted h* = {pair.h_star:.6g}; empirical 0.5-crossing = "
-            + (f"{crossing:.6g}" if crossing is not None else "not observed"),
-            err=True,
-        )
-        if check:
-            ok = crossing is not None
-            if ok:
-                ratio = max(crossing / pair.h_star, pair.h_star / crossing)
-                ok = ratio <= factor
-                if not ok:
-                    click.echo(
-                        f"error: crossing/h* ratio {ratio:.3f} exceeds {factor:g}",
-                        err=True,
-                    )
-            else:
-                click.echo("error: the sweep never crossed 1/2", err=True)
-            if p_hats[-1] < final_p:
-                ok = False
+    click.echo(
+        f"fitted h* = {pair.h_star:.6g}; empirical 0.5-crossing = "
+        + (f"{crossing:.6g}" if crossing is not None else "not observed"),
+        err=True,
+    )
+    if validate_crossing:
+        ok = crossing is not None
+        if ok:
+            ratio = max(crossing / pair.h_star, pair.h_star / crossing)
+            ok = ratio <= crossing_factor
+            if not ok:
                 click.echo(
-                    f"error: finest-mesh frequency {p_hats[-1]:.3f} below {final_p:g}",
+                    f"error: crossing/h* ratio {ratio:.3f} exceeds {crossing_factor:g}",
                     err=True,
                 )
-            if not ok:
-                sys.exit(1)
-
-    _run(body)
+        else:
+            click.echo("error: the sweep never crossed 1/2", err=True)
+        if p_hats[-1] < min_final_p:
+            ok = False
+            click.echo(
+                f"error: finest-mesh frequency {p_hats[-1]:.3f} below {min_final_p:g}",
+                err=True,
+            )
+        if not ok:
+            sys.exit(1)
 
 
 if __name__ == "__main__":

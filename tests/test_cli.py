@@ -262,6 +262,86 @@ class TestConfigFile:
         assert "missing required parameter --m" in result.stderr
 
 
+def error_line(result):
+    """The one `error:` line a rejected run must leave on stderr."""
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith("error: ")
+    return lines[0]
+
+
+PAIR = ["--ck", 1, "--k", 1, "--cm", 2, "--m", 2]
+LAW = ["law", *PAIR, "--h-min", 0.1, "--h-max", 1]
+MC_ONE_POINT = ["mc", *PAIR, "--h-min", 0.5, "--h-max", 0.5, "--points", 1,
+                "--trials", 100]
+FEM_SMALL = ["fem", "--problem", "sine", "--orders", 1, "--n-list", "4,8,16"]
+COMPARE_SMALL = ["compare", "--problem", "sine", "--n-list", "2,4,8", "--trials", 5]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args, flag", [
+        (["law", "--k", "abc"], "--k"),
+        ([*LAW, "--seed", 3], "--seed"),
+        ([*LAW, "--spacing", "cubic"], "--spacing"),
+    ])
+    def test_click_usage_error_is_one_line(self, args, flag):
+        assert flag in error_line(run_cli(*args, expect=2))
+
+    def test_help_and_interrupt_behave_as_before(self, monkeypatch):
+        bare = run_cli(expect=2)
+        assert bare.stderr.startswith("Usage:") and "Commands:" in bare.stderr
+        assert run_cli("--help").stdout.startswith("Usage:")
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "tabulate_curve", interrupt)
+        result = CliRunner().invoke(cli.main, [str(a) for a in LAW])
+        assert result.exit_code == 1
+        assert result.output.strip() == "Aborted!"
+
+    @pytest.mark.parametrize("text, key", [
+        ("ck=1\nck=2\n", "'ck'"),
+        ("h-min=0.5\nh_min=0.5\n", "'h_min'"),
+    ])
+    def test_duplicate_config_key_rejected(self, tmp_path, text, key):
+        config = tmp_path / "dup.cfg"
+        config.write_text("ck=1\nk=1\ncm=2\nm=2\nh_max=0.5\npoints=1\n" + text)
+        assert key in error_line(run_cli("law", "--config", config, expect=2))
+
+    @pytest.mark.parametrize("args, flag", [
+        ([*MC_ONE_POINT, "--sigma-factor", -1], "--sigma-factor"),
+        ([*MC_ONE_POINT, "--sigma-factor", "inf"], "--sigma-factor"),
+        ([*FEM_SMALL, "--validate-rates", "--rate-window", -1], "--rate-window"),
+        ([*COMPARE_SMALL, "--validate-crossing", "--min-final-p", "nan"], "--min-final-p"),
+        ([*COMPARE_SMALL, "--validate-crossing", "--crossing-factor", 0.5],
+         "--crossing-factor"),
+    ])
+    def test_bad_threshold_is_bad_input(self, args, flag):
+        assert flag in error_line(run_cli(*args, expect=2))
+
+    def test_bad_threshold_in_config_is_bad_input(self, tmp_path):
+        config = tmp_path / "mc.cfg"
+        config.write_text("sigma_factor=nan\n")
+        result = run_cli(*MC_ONE_POINT, "--config", config, expect=2)
+        assert "--sigma-factor" in error_line(result)
+
+    @pytest.mark.parametrize("orders", ["", "1,1"])
+    def test_empty_or_repeated_orders_rejected(self, tmp_path, orders):
+        out = tmp_path / "rec.csv"
+        result = run_cli(*FEM_SMALL, "--orders", orders, "--out", out, expect=2)
+        assert "--orders" in error_line(result)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["law", "mc"])
+    @pytest.mark.parametrize("flag, value", [("--h-max", "inf"), ("--h-min", "nan")])
+    def test_grid_bound_must_be_finite(self, command, flag, value):
+        trials = ["--trials", 100] if command == "mc" else []
+        result = run_cli(command, *PAIR, "--h-min", 0.1, "--h-max", 1, *trials,
+                         flag, value, expect=2)
+        assert flag in error_line(result)
+
+
 class TestAtomicOutput:
     LAW = ["law", "--ck", "1", "--k", "1", "--cm", "2", "--m", "2",
            "--h-min", "0.1", "--h-max", "1", "--points", "5"]
