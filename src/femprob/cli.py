@@ -186,6 +186,8 @@ _config_option = click.option(
 )
 _problem_option = click.option("--problem", default="sine", help="Library problem name.")
 _positive = _Finite(0.0, min_open=True)
+_count = click.IntRange(min=1)
+_jitter = _Finite(0.0, 0.5, max_open=True)  # keeps every jittered mesh ordered
 
 
 def _grid_options(points: int):
@@ -197,7 +199,7 @@ def _grid_options(points: int):
         click.option("--m", type=int, required=True, help="High polynomial order."),
         click.option("--h-min", type=_positive, required=True),
         click.option("--h-max", type=_positive, required=True),
-        click.option("--points", type=click.IntRange(min=1), default=points),
+        click.option("--points", type=_count, default=points),
         click.option("--spacing", type=click.Choice(["log", "linear"]), default="log"),
     )
 
@@ -233,7 +235,7 @@ def law(ck, k, cm, m, h_min, h_max, points, spacing, out):
 
 @main.command()
 @_grid_options(points=20)
-@click.option("--trials", type=int, default=10**6, help="Monte Carlo trials per grid point.")
+@click.option("--trials", type=_count, default=10**6, help="Monte Carlo trials per grid point.")
 @click.option("--sigma-factor", type=_positive, default=3.0,
               help="Validation band half-width.")
 @click.option("--validate/--no-validate", default=True)
@@ -280,8 +282,8 @@ def mc(ck, k, cm, m, h_min, h_max, points, spacing, trials, sigma_factor, valida
               help="Comma-separated element orders.")
 @click.option("--n-list", default="8,16,32,64,128,256,512", callback=_int_list,
               help="Comma-separated element counts.")
-@click.option("--jitter", type=float, default=0.0)
-@click.option("--trials", type=int, default=1, help="Meshes per element count.")
+@click.option("--jitter", type=_jitter, default=0.0)
+@click.option("--trials", type=_count, default=1, help="Meshes per element count.")
 @click.option("--fix-rate/--free-rate", default=False)
 @click.option("--fit-out", default=None, help="Fit summary path (default: derived).")
 @click.option("--validate-rates/--no-validate-rates", default=False)
@@ -352,8 +354,8 @@ def fem(problem, orders, n_list, jitter, trials, fix_rate, fit_out, validate_rat
 @click.option("--order-high", type=int, default=2)
 @click.option("--n-list", default="2,3,4,6,8,12,16,24,32,48,64", callback=_int_list,
               help="Comma-separated element counts.")
-@click.option("--jitter", type=float, default=0.3)
-@click.option("--trials", type=int, default=100, help="Mesh pairs per element count.")
+@click.option("--jitter", type=_jitter, default=0.3)
+@click.option("--trials", type=_count, default=100, help="Mesh pairs per element count.")
 @click.option("--validate-crossing/--no-validate-crossing", default=False)
 @click.option("--crossing-factor", type=_Finite(1.0), default=2.0)
 @click.option("--min-final-p", type=_Finite(0.0, 1.0), default=0.95)

@@ -75,18 +75,33 @@ class FemSolution:
 
     def element_values(self) -> np.ndarray:
         """Per element, the Lobatto coefficients of u_h: both vertex values, then bubbles."""
-        out = np.empty((self.mesh.n_elements, self.order + 1))
-        (self.slopes * self.mesh.gaps).cumsum(out=out[:, 1])
-        out[0, 0] = 0.0
-        out[1:, 0] = out[:-1, 1]
-        out[:, 2:] = self.bubbles
-        return out
+        return self._values(self._vertex_values(), slice(None))
 
     def element_slopes(self) -> np.ndarray:
         """Per element, the coefficients of u_h' against 1 and the bubble derivatives."""
-        out = np.empty((self.mesh.n_elements, self.order))
-        out[:, 0] = self.slopes
-        np.divide(self.bubbles, self.mesh.gaps[:, None], out=out[:, 1:])
+        return self._slopes(slice(None))
+
+    def _vertex_values(self) -> np.ndarray:
+        """u_h at the n + 1 vertices: u(0) = 0, then a running sum of slope times length."""
+        out = np.zeros(self.mesh.n_elements + 1)
+        (self.slopes * self.mesh.gaps).cumsum(out=out[1:])
+        return out
+
+    def _values(self, vertex_values: np.ndarray, elements: slice) -> np.ndarray:
+        """`element_values()` rows of the `elements` slice, from `_vertex_values()`."""
+        start, stop, _ = elements.indices(self.mesh.n_elements)
+        out = np.empty((stop - start, self.order + 1))
+        out[:, 0] = vertex_values[start:stop]
+        out[:, 1] = vertex_values[start + 1:stop + 1]
+        out[:, 2:] = self.bubbles[elements]
+        return out
+
+    def _slopes(self, elements: slice) -> np.ndarray:
+        """`element_slopes()` rows of the `elements` slice."""
+        bubbles = self.bubbles[elements]
+        out = np.empty((bubbles.shape[0], self.order))
+        out[:, 0] = self.slopes[elements]
+        np.divide(bubbles, self.mesh.gaps[elements, None], out=out[:, 1:])
         return out
 
     @property
@@ -207,22 +222,23 @@ def h1_error(solution: FemSolution, problem: Problem1D) -> tuple[float, float]:
     for smooth solutions.  u_h' is taken from the slopes, not from vertex
     value differences, which would add a rounding floor on fine meshes.
 
-    The squared errors are integrated per element, block by block; the
-    sums over elements run once over all of them, so the result does not
-    depend on the block size.
+    The squared errors are integrated per element, block by block, from
+    u_h's coefficients of that block, sliced from one running sum of the
+    vertex values; the sums over elements run once over all of them, so the
+    result does not depend on the block size.
     """
     k = solution.order
     _, weights, values, derivs = _reference_element(k, _ERROR_EXTRA_POINTS)
     mesh = solution.mesh
     lengths = mesh.gaps
-    coefficients = solution.element_values()
-    slope_coefficients = solution.element_slopes()
+    vertex_values = solution._vertex_values()
 
     l2_elements = np.empty(mesh.n_elements)
     semi_elements = np.empty(mesh.n_elements)
     for block, x_quad in _element_blocks(mesh, k, _ERROR_EXTRA_POINTS):
-        diff = coefficients[block] @ values.T  # u_h, then u_h - u, then its square
-        ddiff = slope_coefficients[block] @ derivs[:, 1:].T  # d/dt of the hat t is 1
+        # u_h, then u_h - u, then its square
+        diff = solution._values(vertex_values, block) @ values.T
+        ddiff = solution._slopes(block) @ derivs[:, 1:].T  # d/dt of the hat t is 1
         diff -= np.asarray(problem.exact_solution(x_quad), dtype=np.float64)
         ddiff -= np.asarray(problem.exact_derivative(x_quad), dtype=np.float64)
         diff *= diff

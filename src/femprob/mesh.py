@@ -1,4 +1,8 @@
-"""Randomly jittered 1D meshes of the unit interval."""
+"""Randomly jittered 1D meshes of the unit interval.
+
+`jittered_nodes` draws the nodes of many meshes at once, one row per seed;
+`build_mesh` is its one-seed case wrapped as a `Mesh1D`.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,11 @@ import numpy as np
 from .errors import ParameterError
 from .rng import derive_key, uniforms
 
-__all__ = ["Mesh1D", "build_mesh"]
+__all__ = ["Mesh1D", "build_mesh", "jittered_nodes"]
+
+# draws per uniforms call: 2**15 float64 values are 256 KiB per array, the
+# L2 budget of the oracle and fem blocks
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,31 @@ def _uniform_nodes(n_elements: int) -> np.ndarray:
     return nodes
 
 
+def jittered_nodes(n_elements: int, jitter: float, seeds: np.ndarray) -> np.ndarray:
+    """Nodes of one jittered n-element mesh per seed, one row per mesh.
+
+    Row j is ``build_mesh(n_elements, jitter, int(seeds[j])).nodes``, bit for
+    bit; `seeds` is a 1-D uint64 array.  The draws for many meshes come from
+    one `uniforms` call per chunk of meshes, each chunk at most `_BLOCK`
+    values (one mesh per chunk when a mesh alone has more), so the
+    temporaries stay in L2 cache however many meshes there are.
+    """
+    if n_elements < 1:
+        raise ParameterError(f"n_elements must be >= 1, got {n_elements}")
+    if not 0.0 <= jitter < 0.5:
+        raise ParameterError(f"jitter must lie in [0, 0.5), got {jitter!r}")
+    nodes = np.empty((len(seeds), n_elements + 1))
+    nodes[:] = _uniform_nodes(n_elements)
+    if n_elements > 1 and jitter > 0.0:
+        h_uniform = 1.0 / n_elements
+        keys = derive_key(seeds)
+        rows = max(1, _BLOCK // (n_elements - 1))
+        for start in range(0, len(seeds), rows):
+            draws = uniforms(keys[start:start + rows], n_elements - 1)
+            nodes[start:start + rows, 1:-1] += (2.0 * draws - 1.0) * jitter * h_uniform
+    return nodes
+
+
 def build_mesh(n_elements: int, jitter: float, seed: int) -> Mesh1D:
     """Uniform n-element mesh with interior nodes displaced at random.
 
@@ -63,13 +96,5 @@ def build_mesh(n_elements: int, jitter: float, seed: int) -> Mesh1D:
     keeps every gap inside [(1 - 2*jitter) * h_u, (1 + 2*jitter) * h_u],
     so ordering can never break.  Deterministic in `seed`.
     """
-    if n_elements < 1:
-        raise ParameterError(f"n_elements must be >= 1, got {n_elements}")
-    if not 0.0 <= jitter < 0.5:
-        raise ParameterError(f"jitter must lie in [0, 0.5), got {jitter!r}")
-    nodes = _uniform_nodes(n_elements).copy()
-    if n_elements > 1 and jitter > 0.0:
-        h_uniform = 1.0 / n_elements
-        draws = uniforms(derive_key(seed), n_elements - 1)
-        nodes[1:-1] += (2.0 * draws - 1.0) * jitter * h_uniform
-    return Mesh1D(nodes=nodes, seed=seed, jitter=jitter)
+    seeds = np.array([seed % 2**64], dtype=np.uint64)
+    return Mesh1D(nodes=jittered_nodes(n_elements, jitter, seeds)[0], seed=seed, jitter=jitter)

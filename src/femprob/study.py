@@ -4,6 +4,10 @@ This is the experimental side of the package: it produces real H1 errors on
 jittered meshes, recovers each family's lumped error constant by log-log
 least squares, and measures how often the high-order family actually beats
 the low-order one, trial by trial, as the mesh size varies.
+
+Trial seeds come from `derive_key(seed, stream, n, trial, ...)`.  The
+superiority sweep derives them, and draws its meshes, as one array per
+element count and family; each mesh is then solved on its own.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
 from .fem import assemble_solve, h1_error
-from .mesh import build_mesh
+from .mesh import Mesh1D, build_mesh, jittered_nodes
 from .oracle import McEstimate
 from .problems import Problem1D
 from .rng import derive_key
@@ -82,19 +86,16 @@ def _checked_n_list(n_list: Sequence[int]) -> None:
         raise ParameterError("n_list must be strictly increasing")
 
 
-def _solve_record(
-    problem: Problem1D, order: int, n: int, jitter: float, trial_seed: int
-) -> ConvergenceRecord:
-    """Mesh, solve and H1 error of one trial, as its record."""
-    mesh = build_mesh(n, jitter, trial_seed)
+def _solve_record(problem: Problem1D, order: int, mesh: Mesh1D) -> ConvergenceRecord:
+    """Solve and H1 error of one trial mesh, as its record."""
     full, semi = h1_error(assemble_solve(mesh, order, problem), problem)
     return ConvergenceRecord(
         order=order,
-        n_elements=n,
+        n_elements=mesh.n_elements,
         h_max=mesh.h_max,
         error_h1=full,
         error_h1_semi=semi,
-        seed=trial_seed,
+        seed=mesh.seed,
     )
 
 
@@ -115,7 +116,9 @@ def convergence_study(
     if trials_per_n < 1:
         raise ParameterError("trials_per_n must be >= 1")
     return [
-        _solve_record(problem, order, n, jitter, derive_key(seed, _STREAM_STUDY, n, trial))
+        _solve_record(
+            problem, order, build_mesh(n, jitter, derive_key(seed, _STREAM_STUDY, n, trial))
+        )
         for n in n_list
         for trial in range(trials_per_n)
     ]
@@ -182,7 +185,9 @@ def superiority_sweep(
 
     Returns one point per n plus every underlying record (both families),
     so callers can fit constants from exactly the data that produced the
-    frequencies.
+    frequencies.  Trial t's low- and high-order meshes are
+    ``build_mesh(n, jitter, derive_key(seed, 12, n, t, role))`` for roles 0
+    and 1, drawn for all trials of one (n, role) at once.
     """
     _checked_n_list(n_list)
     if order_low >= order_high:
@@ -191,21 +196,22 @@ def superiority_sweep(
         )
     if trials < 1:
         raise ParameterError("trials must be >= 1")
+    trial_index = np.arange(trials, dtype=np.uint64)
     points = []
     records = []
     for n in n_list:
-        wins = 0
-        for trial in range(trials):
-            # one independent mesh per family, fresh seeds for both
-            low, high = (
-                _solve_record(
-                    problem, order, n, jitter,
-                    derive_key(seed, _STREAM_SUPERIORITY, n, trial, role),
-                )
-                for role, order in enumerate((order_low, order_high))
-            )
-            wins += high.error_h1 <= low.error_h1
-            records.extend((low, high))
+        families = []
+        for role, order in enumerate((order_low, order_high)):
+            # one independent mesh per trial and family, the meshes of a
+            # family drawn as the rows of one node array
+            seeds = derive_key(seed, _STREAM_SUPERIORITY, n, trial_index, role)
+            families.append([
+                _solve_record(problem, order, Mesh1D(nodes=nodes, seed=trial_seed, jitter=jitter))
+                for trial_seed, nodes in zip(seeds.tolist(), jittered_nodes(n, jitter, seeds))
+            ])
+        low, high = families
+        wins = sum(b.error_h1 <= a.error_h1 for a, b in zip(low, high))
+        records.extend(record for pair in zip(low, high) for record in pair)
         points.append(
             SweepPoint(
                 n_elements=n,

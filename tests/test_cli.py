@@ -333,6 +333,27 @@ class TestUsageErrors:
         assert "--orders" in error_line(result)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("args, flag, value", [
+        (MC_ONE_POINT, "--trials", 0),
+        (FEM_SMALL, "--trials", 0),
+        (COMPARE_SMALL, "--trials", -1),
+        (FEM_SMALL, "--jitter", 0.5),
+        (COMPARE_SMALL, "--jitter", "nan"),
+        (COMPARE_SMALL, "--jitter", -0.1),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_bad_trials_or_jitter_names_the_flag(self, tmp_path, args, flag, value, via):
+        if via == "flag":
+            result = run_cli(*args, flag, value, expect=2)
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{flag[2:]}={value}\n")
+            if flag in args:  # an explicit flag would win over the config
+                i = args.index(flag)
+                args = args[:i] + args[i + 2:]
+            result = run_cli(*args, "--config", config, expect=2)
+        assert f"'{flag}'" in error_line(result)
+
     @pytest.mark.parametrize("command", ["law", "mc"])
     @pytest.mark.parametrize("flag, value", [("--h-max", "inf"), ("--h-min", "nan")])
     def test_grid_bound_must_be_finite(self, command, flag, value):

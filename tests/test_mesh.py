@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femprob import Mesh1D, ParameterError, build_mesh
-from femprob.mesh import _uniform_nodes
+from femprob import mesh as mesh_module
+from femprob.mesh import _uniform_nodes, jittered_nodes
 
 
 class TestBuildMesh:
@@ -63,6 +64,31 @@ class TestBuildMesh:
             build_mesh(4, 0.5, 1)
         with pytest.raises(ParameterError):
             build_mesh(4, -0.1, 1)
+
+
+class TestJitteredNodes:
+    @pytest.mark.parametrize("block", [None, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 97])
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    def test_rows_equal_build_mesh(self, n, jitter, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(mesh_module, "_BLOCK", block)
+        seeds = [0, 1, 2**63, 2**64 - 1, 12345, 7, 8]
+        nodes = jittered_nodes(n, jitter, np.array(seeds, dtype=np.uint64))
+        assert nodes.shape == (len(seeds), n + 1)
+        for seed, row in zip(seeds, nodes):
+            assert row.tobytes() == build_mesh(n, jitter, seed).nodes.tobytes()
+
+    def test_build_mesh_takes_any_integer_seed(self):
+        # seeds are reduced modulo 2**64, as derive_key reduces them
+        np.testing.assert_array_equal(
+            build_mesh(6, 0.3, seed=-1).nodes, build_mesh(6, 0.3, seed=2**64 - 1).nodes
+        )
+
+    @pytest.mark.parametrize("n, jitter", [(0, 0.1), (-3, 0.1), (4, 0.5), (4, -0.1), (4, float("nan"))])
+    def test_rejects_bad_parameters(self, n, jitter):
+        with pytest.raises(ParameterError):
+            jittered_nodes(n, jitter, np.arange(3, dtype=np.uint64))
 
 
 class TestMesh1DValidation:

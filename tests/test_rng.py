@@ -49,6 +49,14 @@ class TestDerivation:
         }
         assert len(keys) == 7
 
+    def test_splitmix64_reference_outputs(self):
+        # the first three outputs of splitmix64 seeded with 0, as published
+        # with the algorithm; scalar and array paths share one mixer
+        want = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        golden = 0x9E3779B97F4A7C15
+        assert [mix64(i * golden % 2**64) for i in (1, 2, 3)] == want
+        assert uniforms(0, 3).tolist() == [(z >> 11) / 2**53 for z in want]
+
     def test_mix64_is_64_bit(self):
         for x in (0, 1, 2**63, 2**64 - 1, 0xDEADBEEF):
             assert 0 <= mix64(x) < 2**64
@@ -57,6 +65,45 @@ class TestDerivation:
         with pytest.raises(ValueError):
             uniforms(1, -1)
         assert uniforms(1, 0).size == 0
+
+
+class TestKeyArrays:
+    """Array keys: every element equals the scalar call it stands for."""
+
+    seeds = st.integers(min_value=-(2**70), max_value=2**70)
+    keys = st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8)
+
+    @given(keys, st.integers(0, 40), st.sampled_from([0, 1, 2**15 - 3, 2**53 - 2, 2**64 - 50]))
+    @settings(max_examples=40, deadline=None)
+    def test_uniforms_rows_equal_scalar_streams(self, keys, count, offset):
+        rows = uniforms(np.array(keys, dtype=np.uint64), count, offset)
+        assert rows.shape == (len(keys), count)
+        for key, row in zip(keys, rows):
+            assert row.tobytes() == uniforms(key, count, offset).tobytes()
+
+    @given(
+        seeds,
+        st.lists(st.integers(-5, 2**64 + 5), max_size=3),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6),
+        st.lists(st.integers(-5, 2**64 + 5), max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_index_array_keys_equal_scalar_chains(self, seed, prefix, indices, path):
+        keys = derive_key(seed, *prefix, np.array(indices, dtype=np.uint64), *path)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [derive_key(seed, *prefix, i, *path) for i in indices]
+
+    @given(keys, st.lists(st.integers(0, 100), max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_derive_key_of_a_seed_array(self, seeds, path):
+        keys = derive_key(np.array(seeds, dtype=np.uint64), *path)
+        assert keys.tolist() == [derive_key(seed, *path) for seed in seeds]
+        assert mix64(np.array(seeds, dtype=np.uint64)).tolist() == list(map(mix64, seeds))
+
+    @pytest.mark.parametrize("key", [np.zeros((2, 2), dtype=np.uint64), np.arange(3)])
+    def test_key_array_must_be_1d_uint64(self, key):
+        with pytest.raises(ValueError):
+            uniforms(key, 4)
 
 
 class TestDistribution:

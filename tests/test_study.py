@@ -5,15 +5,21 @@ import math
 import numpy as np
 import pytest
 
+from femprob import mesh as mesh_module
+from femprob import study
+from femprob.rng import derive_key
 from femprob import (
     ConvergenceRecord,
     InsufficientDataError,
     ParameterError,
     convergence_study,
     empirical_superiority,
+    assemble_solve,
+    build_mesh,
     estimate_half_crossing,
     fit_constant,
     get_problem,
+    h1_error,
     records_to_csv,
     superiority_sweep,
 )
@@ -153,6 +159,50 @@ class TestEmpiricalSuperiority:
         assert len(records) == 2 * 6 * 2
         assert all(0.0 <= p.estimate.p_hat <= 1.0 for p in points)
         assert all(p.h_mean > 0 for p in points)
+
+
+def per_trial_sweep(problem, order_low, order_high, n_list, trials, jitter, seed):
+    """Reference: the scalar key, mesh and solve chain of every trial, one by one."""
+    records, wins = [], []
+    for n in n_list:
+        wins.append(0)
+        for trial in range(trials):
+            pair = []
+            for role, order in enumerate((order_low, order_high)):
+                trial_seed = derive_key(seed, study._STREAM_SUPERIORITY, n, trial, role)
+                mesh = build_mesh(n, jitter, trial_seed)
+                full, semi = h1_error(assemble_solve(mesh, order, problem), problem)
+                pair.append(ConvergenceRecord(order, n, mesh.h_max, full, semi, trial_seed))
+            wins[-1] += pair[1].error_h1 <= pair[0].error_h1
+            records.extend(pair)
+    return records, wins
+
+
+class TestSweepArrays:
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("block", [None, 4])
+    def test_records_equal_the_per_trial_chain(self, jitter, block, monkeypatch):
+        n_list, trials = [1, 2, 97], 9
+        want_records, want_wins = per_trial_sweep(SINE, 1, 3, n_list, trials, jitter, 2026)
+        calls = []
+        if block is not None:
+            # at most 4 draws per call: chunks of 4, 4 and 1 meshes at n = 2,
+            # one mesh per call at n = 97, where a mesh alone has 96 draws
+            monkeypatch.setattr(mesh_module, "_BLOCK", block)
+            draw = mesh_module.uniforms
+            monkeypatch.setattr(
+                mesh_module, "uniforms", lambda keys, count: calls.append(keys.size) or draw(keys, count)
+            )
+        points, records = superiority_sweep(SINE, 1, 3, n_list, trials, jitter, seed=2026)
+        assert records == want_records
+        assert [p.estimate.p_hat for p in points] == [w / trials for w in want_wins]
+        if block is not None and jitter > 0.0:
+            assert calls == [4, 4, 1] * 2 + [1] * 2 * trials
+
+    @pytest.mark.parametrize("n_list, jitter", [([0, 4], 0.3), ([4], 0.5), ([4], -0.1)])
+    def test_bad_mesh_parameters_rejected(self, n_list, jitter):
+        with pytest.raises(ParameterError):
+            superiority_sweep(SINE, 1, 2, n_list, 3, jitter, seed=1)
 
 
 class TestHalfCrossing:
