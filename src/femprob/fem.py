@@ -209,7 +209,9 @@ def assemble_solve(mesh: Mesh1D, order: int, problem: Problem1D) -> FemSolution:
     vertex_loads = np.zeros(mesh.n_elements)
     np.add(loads[:-1, 1], loads[1:, 0], out=vertex_loads[1:])
     passed = vertex_loads.cumsum()
-    slopes = (lengths @ passed) / lengths.sum() - passed
+    # a numpy reduction, not a BLAS dot: OpenBLAS splits long dots across
+    # its threads, so their rounding would depend on the thread count
+    slopes = np.add.reduce(lengths * passed) / lengths.sum() - passed
     bubbles = lengths[:, None] * loads[:, 2:]
     return FemSolution(order=k, mesh=mesh, slopes=slopes, bubbles=bubbles)
 

@@ -1,5 +1,8 @@
 """Solver correctness: containment, nodal exactness, rates, independent references."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -333,3 +336,30 @@ class TestElementBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20
+
+
+# one large solve, printed as the exact bytes of its results
+LARGE_SOLVE = """
+import sys
+from femprob import assemble_solve, build_mesh, get_problem, h1_error
+problem = get_problem("sine24")
+mesh = build_mesh(65536, 0.3, seed=2026)
+solution = assemble_solve(mesh, 2, problem)
+sys.stdout.write(solution.slopes.tobytes().hex())
+sys.stdout.write(solution.bubbles.tobytes().hex())
+sys.stdout.write(repr(h1_error(solution, problem)))
+"""
+
+
+def test_large_solve_is_independent_of_blas_threads():
+    # OpenBLAS splits long dot products across its threads, which changes
+    # their rounding; no result may depend on the thread count
+    outputs = {
+        threads: subprocess.run(
+            [sys.executable, "-c", LARGE_SOLVE],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for threads in ("1", "2")
+    }
+    assert outputs["1"] == outputs["2"]

@@ -85,7 +85,9 @@ class TestJitteredNodes:
             build_mesh(6, 0.3, seed=-1).nodes, build_mesh(6, 0.3, seed=2**64 - 1).nodes
         )
 
-    @pytest.mark.parametrize("n, jitter", [(0, 0.1), (-3, 0.1), (4, 0.5), (4, -0.1), (4, float("nan"))])
+    @pytest.mark.parametrize(
+        "n, jitter", [(0, 0.1), (-3, 0.1), (4, 0.5), (4, -0.1), (4, float("nan"))]
+    )
     def test_rejects_bad_parameters(self, n, jitter):
         with pytest.raises(ParameterError):
             jittered_nodes(n, jitter, np.arange(3, dtype=np.uint64))

@@ -190,9 +190,12 @@ class TestSweepArrays:
             # one mesh per call at n = 97, where a mesh alone has 96 draws
             monkeypatch.setattr(mesh_module, "_BLOCK", block)
             draw = mesh_module.uniforms
-            monkeypatch.setattr(
-                mesh_module, "uniforms", lambda keys, count: calls.append(keys.size) or draw(keys, count)
-            )
+
+            def counted(keys, count):
+                calls.append(keys.size)
+                return draw(keys, count)
+
+            monkeypatch.setattr(mesh_module, "uniforms", counted)
         points, records = superiority_sweep(SINE, 1, 3, n_list, trials, jitter, seed=2026)
         assert records == want_records
         assert [p.estimate.p_hat for p in points] == [w / trials for w in want_wins]
