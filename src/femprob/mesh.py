@@ -12,13 +12,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .rng import derive_key, uniforms
+from .rng import _BLOCK, derive_key, uniforms
 
 __all__ = ["Mesh1D", "build_mesh", "jittered_nodes"]
-
-# draws per uniforms call: 2**15 float64 values are 256 KiB per array, the
-# L2 budget of the oracle and fem blocks
-_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)

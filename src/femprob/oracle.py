@@ -10,7 +10,8 @@ Three routes to the same probability, none of which shares code with
 * `numeric_area_oracle` - deterministic midpoint-rule integration of the
   indicator over the same rectangle; works on both sides of the crossover.
 * `mc_estimate` - direct Monte Carlo sampling of the two uniform error
-  variables on a counter-based stream, reproducible under any trial split.
+  variables on a counter-based stream, reproducible under any trial split;
+  the trials are drawn block by block into one reused buffer per stream.
 
 `conditional_identity_check` verifies the conditional-probability identity
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
 from .laws import ElementPair, _checked_h
-from .rng import derive_key, uniforms
+from .rng import _BLOCK, derive_key, uniforms
 
 __all__ = [
     "McEstimate",
@@ -47,11 +48,6 @@ _STREAM_HIGH = 1
 _STREAM_WIN = 2
 _STREAM_BAND = 3
 _STREAM_CONDITIONAL = 4
-
-# trials per block of the Monte Carlo loops: 2**15 float64 draws are 256 KiB
-# per array, so every pass over a block stays in L2 (2**13..2**18 measured;
-# 2**15 was fastest)
-_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -135,12 +131,15 @@ def _scaled_blocks(n_trials: int, step: int, *streams: tuple[int, float]):
     `streams` are (key, top) pairs; every block covers the same `step`
     trial indices of all of them (the last block may be shorter), so a
     block's working set stays small while the values match one long draw.
+    Each stream draws every block into the one buffer it gets per call, so
+    a yielded block is overwritten by the next.
     """
+    buffers = [np.empty(min(step, n_trials)) for _ in streams]
     for offset in range(0, n_trials, step):
         count = min(step, n_trials - offset)
         blocks = []
-        for key, top in streams:
-            x = uniforms(key, count, offset)
+        for (key, top), buffer in zip(streams, buffers):
+            x = uniforms(key, count, offset, out=buffer[:count])
             x *= top
             blocks.append(x)
         yield blocks
@@ -157,10 +156,11 @@ def mc_estimate(
 
     Trials are drawn and counted in blocks of `_BLOCK` (an L2-sized
     working set), or of `chunk_size` when given, which then bounds
-    memory.  The counter-based stream makes any block size (or a parallel
-    split along trial indices) return bit-identical results.  Ties count
-    as a win for the high-order family, matching the non-strict event
-    definition.
+    memory; every block is drawn into the same two buffers and compared
+    into the same mask.  The counter-based stream makes any block size
+    (or a parallel split along trial indices) return bit-identical
+    results.  Ties count as a win for the high-order family, matching the
+    non-strict event definition.
     """
     if n_trials < 1:
         raise ParameterError("n_trials must be >= 1")
@@ -171,9 +171,11 @@ def mc_estimate(
         (derive_key(seed, _STREAM_LOW), top_low),
         (derive_key(seed, _STREAM_HIGH), top_high),
     )
+    step = chunk_size or _BLOCK
+    wins = np.empty(min(step, n_trials), dtype=bool)
     hits = 0
-    for x_low, x_high in _scaled_blocks(n_trials, chunk_size or _BLOCK, *streams):
-        hits += int(np.count_nonzero(x_high <= x_low))
+    for x_low, x_high in _scaled_blocks(n_trials, step, *streams):
+        hits += int(np.count_nonzero(np.less_equal(x_high, x_low, out=wins[:x_low.size])))
     return McEstimate(p_hat=hits / n_trials, n_trials=n_trials, seed=seed)
 
 

@@ -15,12 +15,20 @@ seeds or of path elements (say trial indices), and `uniforms` takes an array
 of keys, one row each.  Scalar and array paths run the same in-place
 finalizer, so each element equals its scalar call.
 
+`uniforms` forms the counters of a block of draws as one sum of a read-only
+table of the first `_BLOCK` steps ``(i + 1) * GOLDEN``, made on first use,
+and the scalar ``key + offset * GOLDEN``; longer streams are drawn block by
+block.  Its `out` argument takes a float64 destination, so a loop over
+blocks can draw each one into the same buffer.
+
 The mixer is the splitmix64 finalizer (Steele, Lea & Flood's SplittableRandom,
 also used to seed the xoshiro family); it passes BigCrush as a bare counter
 hash, which is ample for Monte Carlo work at the scales used here.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +43,11 @@ _INV_2_53 = 1.0 / (1 << 53)
 # numpy scalars of the constants and shifts, built once rather than per call
 _GOLDEN_U64, _MIX_A_U64, _MIX_B_U64 = map(np.uint64, (_GOLDEN, _MIX_A, _MIX_B))
 _U11, _U27, _U30, _U31 = map(np.uint64, (11, 27, 30, 31))
+
+# values per block of the draw, mesh and Monte Carlo loops: 2**15 float64
+# values are 256 KiB per array, so every pass over a block stays in L2
+# (2**13..2**18 measured for the Monte Carlo loops; 2**15 was fastest)
+_BLOCK = 1 << 15
 
 
 def _finalize(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -86,34 +99,60 @@ def derive_key(seed: int | np.ndarray, *path: int | np.ndarray) -> int | np.ndar
     return key
 
 
-def uniforms(key: int | np.ndarray, count: int, offset: int = 0) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _steps() -> np.ndarray:
+    """Read-only counter steps ``(i + 1) * GOLDEN`` mod 2**64 for i < `_BLOCK`."""
+    steps = np.arange(1, _BLOCK + 1, dtype=np.uint64)
+    steps *= _GOLDEN_U64
+    steps.flags.writeable = False
+    return steps
+
+
+def uniforms(
+    key: int | np.ndarray, count: int, offset: int = 0, out: np.ndarray | None = None
+) -> np.ndarray:
     """Return variates ``offset .. offset+count-1`` of stream `key` in [0, 1).
 
     ``uniforms(k, n)`` equals ``concatenate([uniforms(k, j), uniforms(k, n-j, j)])``
     bit for bit, for any split point j.  A 1-D uint64 array of keys gives
     one row per key, row j equal to ``uniforms(int(key[j]), count, offset)``.
+    An integer key is taken modulo 2**64, as `derive_key` takes its seed.
+    The variates are written into `out` when given, a float64 array of the
+    result's shape, and `out` is returned.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
-    z = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    z *= _GOLDEN_U64
-    if isinstance(key, np.ndarray):
+    if offset < 0:
+        raise ValueError("offset must be nonnegative")
+    keys = isinstance(key, np.ndarray)
+    if keys:
         if key.ndim != 1 or key.dtype != np.uint64:
             raise ValueError("an array of keys must be 1-D uint64")
-        z = np.add.outer(key, z)
+        shape, start = (key.size, count), offset * _GOLDEN
     else:
-        z += np.uint64(key)
-    # `out` doubles as the scratch array: every xor-shift writes its shifted
-    # copy into its uint64 view, and the final scaling fills it as float64
-    # (z < 2**53 there, so the conversion is exact, as astype's would be).
-    out = np.empty(z.shape, dtype=np.float64)
-    _finalize(z, out.view(np.uint64))
-    z >>= _U11
-    np.multiply(z, _INV_2_53, out=out)
+        shape, start = (count,), int(key) + offset * _GOLDEN
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}")
+    steps = _steps()
+    for first in range(0, count, _BLOCK):
+        z = steps[:count - first] + np.uint64((start + first * _GOLDEN) & _MASK64)
+        if keys:
+            z = np.add.outer(key, z)
+        # the block of `out` doubles as the scratch array: every xor-shift
+        # writes its shifted copy into its uint64 view, and the final scaling
+        # fills it as float64 (z < 2**53 there, so the conversion is exact)
+        block = out[..., first:first + z.shape[-1]]
+        _finalize(z, block.view(np.uint64))
+        z >>= _U11
+        np.multiply(z, _INV_2_53, out=block)
     return out
 
 
 def uniform_at(key: int, index: int) -> float:
     """Single variate `index` of stream `key`; agrees with `uniforms`."""
+    if index < 0:
+        raise ValueError("index must be nonnegative")
     z = mix64((key + (index + 1) * _GOLDEN) & _MASK64)
     return (z >> 11) * _INV_2_53

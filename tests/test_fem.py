@@ -325,8 +325,9 @@ class TestElementBlocks:
     def test_peak_memory_of_a_large_solve(self):
         # numpy reports its buffers to tracemalloc.  At n = 65536, k = 10,
         # arrays over all 983,040 load points and 1,966,080 error points
-        # peak at 50.5 MiB; in blocks the peak is 18.8 MiB, mostly the
-        # (n, k+1) per-element coefficient arrays
+        # peak at 50.5 MiB; in blocks, with u_h's coefficients formed block
+        # by block, the peak is 11.6 MiB, and whole-mesh (n, k+1)
+        # coefficient arrays would raise it to 18.8 MiB
         mesh = build_mesh(65536, 0.3, seed=2026)
         problem = get_problem("sine24")
         tracemalloc.start()
@@ -335,7 +336,7 @@ class TestElementBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 2**20
+        assert peak <= 16 * 2**20
 
 
 # one large solve, printed as the exact bytes of its results

@@ -1,12 +1,16 @@
 """Geometric, quadrature, and Monte Carlo oracles against the closed form."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from femprob import (
+    ConditionalIdentityReport,
     ElementPair,
     InsufficientDataError,
+    McEstimate,
     ParameterError,
     draw_error_samples,
     conditional_identity_check,
@@ -110,6 +114,11 @@ class TestMcEstimate:
         assert est.p_hat * n_trials == hits
         assert est.p_hat == hits / n_trials
 
+    def test_pinned_estimate(self):
+        # 10**6 trials are 30 blocks of 2**15 and a ragged block of 16,960
+        est = mc_estimate(REFERENCE, 0.25, 10**6, 42)
+        assert est == McEstimate(p_hat=0.749994, n_trials=10**6, seed=42)
+
     def test_three_way_agreement_both_branches(self):
         for i, t in enumerate((0.2, 0.7, 1.0, 1.6, 4.0)):
             h = t * REFERENCE.h_star
@@ -180,6 +189,15 @@ class TestConditionalIdentity:
         assert report.prob_band_given_win == prob_given
         assert report.identity_residual == abs(prob_win - prob_band / prob_given)
 
+    def test_pinned_report(self):
+        report = conditional_identity_check(REFERENCE, 0.25, 10**6, 42)
+        assert report == ConditionalIdentityReport(
+            prob_high_wins=0.749791,
+            prob_low_in_band=0.499882,
+            prob_band_given_win=0.6661006798510917,
+            identity_residual=0.0006691258052308191,
+        )
+
     def test_deterministic(self):
         a = conditional_identity_check(REFERENCE, 0.25, 10_000, 99)
         b = conditional_identity_check(REFERENCE, 0.25, 10_000, 99)
@@ -194,6 +212,25 @@ class TestConditionalIdentity:
             conditional_identity_check(REFERENCE, 0.45, 1, 0)
         with pytest.raises(InsufficientDataError, match="conditional band event"):
             conditional_identity_check(REFERENCE, 0.4999, 40, 0)
+
+
+class TestBlockMemory:
+    # numpy reports its buffers to tracemalloc.  Each stream draws every block
+    # into one 256 KiB buffer, next to one block of counters: the peaks read
+    # 0.85 MiB (two streams) and 1.63 MiB (five), and a fresh array per block
+    # and stream, which the bounds catch, reads 1.32 and 2.88 MiB
+    @pytest.mark.parametrize(
+        "check, mib", [(mc_estimate, 1.0), (conditional_identity_check, 2.0)]
+    )
+    def test_peak_memory_of_a_million_trials(self, check, mib):
+        uniforms(0, 1)  # builds the counter table, which lives as long as the process
+        tracemalloc.start()
+        try:
+            check(REFERENCE, 0.25, 10**6, 42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20
 
 
 class TestNumericArea:

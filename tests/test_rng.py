@@ -36,6 +36,37 @@ class TestDeterminism:
         np.testing.assert_array_equal(whole, parts)
 
 
+    @pytest.mark.parametrize("key", [2026, np.array([5, 2**64 - 1, 0], dtype=np.uint64)])
+    def test_out_is_filled_and_returned(self, key):
+        want = uniforms(key, 2**15 + 9, 11)
+        buffer = np.full(want.shape, np.nan)
+        assert uniforms(key, 2**15 + 9, 11, out=buffer) is buffer
+        assert buffer.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "key, out",
+        [
+            (1, np.empty(4)),
+            (1, np.empty(5, dtype=np.float32)),
+            (np.array([1], dtype=np.uint64), np.empty(5)),
+            (np.array([1], dtype=np.uint64), np.empty((2, 5))),
+        ],
+    )
+    def test_out_of_another_shape_or_dtype_rejected(self, key, out):
+        with pytest.raises(ValueError):
+            uniforms(key, 5, out=out)
+
+    def test_blocks_across_the_top_of_the_counter(self):
+        # two whole 2**15 tables and a ragged block, wrapping past 2**64
+        count, offset = 2 * 2**15 + 7, 2**64 - 2**15 - 3
+        key = derive_key(2026, 1)
+        want = [uniform_at(key, offset + i) for i in range(count)]
+        assert uniforms(key, count, offset).tolist() == want
+        rows = uniforms(np.array([7, key], dtype=np.uint64), count, offset)
+        assert rows[1].tolist() == want
+        assert rows[0].tolist() == [uniform_at(7, offset + i) for i in range(count)]
+
+
 class TestDerivation:
     def test_distinct_paths_distinct_keys(self):
         keys = {
@@ -65,6 +96,18 @@ class TestDerivation:
         with pytest.raises(ValueError):
             uniforms(1, -1)
         assert uniforms(1, 0).size == 0
+
+    def test_offset_and_index_validation(self):
+        with pytest.raises(ValueError):
+            uniforms(5, 2, offset=-3)
+        with pytest.raises(ValueError):
+            uniform_at(5, -1)
+
+    @pytest.mark.parametrize("key", [-1, 2**64 - 1, 2**64 + 5, -(2**70) + 3])
+    def test_key_taken_modulo_2_64(self, key):
+        want = [uniform_at(key % 2**64, offset) for offset in range(3, 6)]
+        assert uniforms(key, 3, offset=3).tolist() == want
+        assert [uniform_at(key, offset) for offset in range(3, 6)] == want
 
 
 class TestKeyArrays:
