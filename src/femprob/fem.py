@@ -10,13 +10,17 @@ supported; the quadrature orders are fixed so that integration error sits
 well below discretization error across that range (k+3 points for the
 loads; k+5 points for error norms).
 
-`assemble_solve` and `h1_error` walk the mesh in blocks of whole elements,
-about `_BLOCK_POINTS` quadrature points each, so every per-point array stays
-in L2 cache.  A block yields per-element results only (loads, weighted
-squared errors); the global reductions (the solve's running sums, the sums
-of the error integrals over elements) run once over all elements
-afterwards.  Each element's result comes from the same operations in any
-block, so every output is bit-identical for any block size.
+`assemble_solve` walks the mesh in blocks of whole elements, about
+`_BLOCK_POINTS` quadrature points each, so every per-point array stays in
+L2 cache.  `h1_errors` integrates the errors of many solves of one order,
+given as arrays with one row per mesh, in blocks of the same size: a block
+holds several whole meshes when they fit, or whole elements of one mesh;
+`h1_error` is its one-mesh call.  A block yields per-element results only
+(loads, weighted squared errors); the global reductions (the solve's
+running sums, the sums of the error integrals over elements) run once per
+mesh over all its elements afterwards.  Each element's result comes from
+the same operations in any block, so every output is bit-identical for any
+block size and whatever other meshes share the block.
 
 `galerkin_residual` checks a solve against the variational identity in the
 same Lobatto basis: the loads through the solve's own quadrature, the
@@ -26,7 +30,6 @@ reads the rounding of the solve and not that of another basis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,7 +40,7 @@ from .laws import _checked_order
 from .mesh import Mesh1D
 from .problems import Problem1D
 
-__all__ = ["FemSolution", "assemble_solve", "h1_error", "galerkin_residual"]
+__all__ = ["FemSolution", "assemble_solve", "h1_error", "h1_errors", "galerkin_residual"]
 
 MAX_ORDER = 10
 
@@ -75,33 +78,12 @@ class FemSolution:
 
     def element_values(self) -> np.ndarray:
         """Per element, the Lobatto coefficients of u_h: both vertex values, then bubbles."""
-        return self._values(self._vertex_values(), slice(None))
-
-    def element_slopes(self) -> np.ndarray:
-        """Per element, the coefficients of u_h' against 1 and the bubble derivatives."""
-        return self._slopes(slice(None))
-
-    def _vertex_values(self) -> np.ndarray:
-        """u_h at the n + 1 vertices: u(0) = 0, then a running sum of slope times length."""
-        out = np.zeros(self.mesh.n_elements + 1)
-        (self.slopes * self.mesh.gaps).cumsum(out=out[1:])
-        return out
-
-    def _values(self, vertex_values: np.ndarray, elements: slice) -> np.ndarray:
-        """`element_values()` rows of the `elements` slice, from `_vertex_values()`."""
-        start, stop, _ = elements.indices(self.mesh.n_elements)
-        out = np.empty((stop - start, self.order + 1))
-        out[:, 0] = vertex_values[start:stop]
-        out[:, 1] = vertex_values[start + 1:stop + 1]
-        out[:, 2:] = self.bubbles[elements]
-        return out
-
-    def _slopes(self, elements: slice) -> np.ndarray:
-        """`element_slopes()` rows of the `elements` slice."""
-        bubbles = self.bubbles[elements]
-        out = np.empty((bubbles.shape[0], self.order))
-        out[:, 0] = self.slopes[elements]
-        np.divide(bubbles, self.mesh.gaps[elements, None], out=out[:, 1:])
+        vertex_values = np.zeros(self.mesh.n_elements + 1)
+        (self.slopes * self.mesh.gaps).cumsum(out=vertex_values[1:])
+        out = np.empty((self.mesh.n_elements, self.order + 1))
+        out[:, 0] = vertex_values[:-1]
+        out[:, 1] = vertex_values[1:]
+        out[:, 2:] = self.bubbles
         return out
 
     @property
@@ -114,6 +96,14 @@ class FemSolution:
         local_values, _ = _lobatto_tables(self.order, np.arange(self.order) / self.order)
         nodal = self.element_values() @ local_values.T
         return np.append(nodal.ravel(), 0.0)
+
+
+def _fem_order(order) -> int:
+    """An element order this module supports: an integer in [1, MAX_ORDER]."""
+    k = _checked_order(order)
+    if k > MAX_ORDER:
+        raise ParameterError(f"order must lie in [1, {MAX_ORDER}], got {k}")
+    return k
 
 
 def _gauss_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,9 +190,7 @@ def assemble_solve(mesh: Mesh1D, order: int, problem: Problem1D) -> FemSolution:
     the vertex loads; u(1) = 0, i.e. sum_e h_e s_e = 0, fixes the constant.
     Bubble j of element e decouples: b_ej / h_e = l(phi_ej).
     """
-    k = _checked_order(order)
-    if k > MAX_ORDER:
-        raise ParameterError(f"order must lie in [1, {MAX_ORDER}], got {k}")
+    k = _fem_order(order)
     loads = _element_loads(mesh, k, problem)
     lengths = mesh.gaps
 
@@ -219,38 +207,122 @@ def assemble_solve(mesh: Mesh1D, order: int, problem: Problem1D) -> FemSolution:
 def h1_error(solution: FemSolution, problem: Problem1D) -> tuple[float, float]:
     """Full H1 norm and H1 seminorm of the discretization error.
 
-    Both integrals use k+5 Gauss points per element, enough to keep the
-    quadrature contribution orders of magnitude below the error itself
-    for smooth solutions.  u_h' is taken from the slopes, not from vertex
-    value differences, which would add a rounding floor on fine meshes.
-
-    The squared errors are integrated per element, block by block, from
-    u_h's coefficients of that block, sliced from one running sum of the
-    vertex values; the sums over elements run once over all of them, so the
-    result does not depend on the block size.
+    The one-row call of `h1_errors`: its blocks are whole elements of this
+    one mesh, as many as fit in `_BLOCK_POINTS` quadrature points.
     """
-    k = solution.order
-    _, weights, values, derivs = _reference_element(k, _ERROR_EXTRA_POINTS)
-    mesh = solution.mesh
-    lengths = mesh.gaps
-    vertex_values = solution._vertex_values()
+    full, semi = h1_errors(
+        solution.order,
+        solution.mesh.nodes[None],
+        solution.slopes[None],
+        solution.bubbles[None],
+        problem,
+    )
+    return float(full[0]), float(semi[0])
 
-    l2_elements = np.empty(mesh.n_elements)
-    semi_elements = np.empty(mesh.n_elements)
-    for block, x_quad in _element_blocks(mesh, k, _ERROR_EXTRA_POINTS):
+
+def _trials_per_block(n_elements: int, order: int) -> int:
+    """How many n-element meshes of degree `order` one `h1_errors` block holds.
+
+    As many as fit in `_BLOCK_POINTS` error quadrature points, and at least
+    one.  A caller that passes `h1_errors` at most this many meshes at a
+    time gets one block per call, so one call of each exact-solution
+    callable per call.
+    """
+    points = n_elements * (_fem_order(order) + _ERROR_EXTRA_POINTS)
+    return max(1, _BLOCK_POINTS // max(1, points))  # n < 1 is the mesh's to reject
+
+
+def _error_blocks(n_trials: int, n_elements: int, order: int):
+    """Yield (trials, elements) slices of the `h1_errors` blocks.
+
+    Whole meshes, `_trials_per_block` at a time, when a mesh fits in
+    `_BLOCK_POINTS` points; otherwise one mesh at a time, in blocks of
+    whole elements, as many as fit.
+    """
+    points = order + _ERROR_EXTRA_POINTS
+    if n_elements * points <= _BLOCK_POINTS:
+        step = _BLOCK_POINTS // (n_elements * points)
+        for start in range(0, n_trials, step):
+            yield slice(start, start + step), slice(None)
+    else:
+        step = _BLOCK_POINTS // points  # >= 2184 elements at k + 5 <= 15 points
+        for trial in range(n_trials):
+            for start in range(0, n_elements, step):
+                yield slice(trial, trial + 1), slice(start, start + step)
+
+
+def h1_errors(
+    order: int,
+    nodes: np.ndarray,
+    slopes: np.ndarray,
+    bubbles: np.ndarray,
+    problem: Problem1D,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full H1 norms and H1 seminorms of the errors of T solves of one order.
+
+    Row t of `nodes` (T, n + 1), `slopes` (T, n) and `bubbles` (T, n, k - 1)
+    is one degree-k solve on an n-element mesh, as in `FemSolution`; the
+    result is two arrays of shape (T,).  Both integrals use k+5 Gauss points
+    per element, enough to keep the quadrature contribution orders of
+    magnitude below the error itself for smooth solutions.  u_h' is taken
+    from the slopes, not from vertex value differences, which would add a
+    rounding floor on fine meshes.
+
+    The squared errors are integrated per element, block by block (see
+    `_error_blocks`), from u_h's coefficients of that block, sliced from
+    one running sum of the vertex values per mesh; the sums over elements
+    run once per mesh over all of them.  The products run stacked, one
+    BLAS call per mesh of the block, so each mesh's errors equal its own
+    one-row call bit for bit, whatever the other meshes of the block.
+    """
+    k = _fem_order(order)
+    n_trials, n_elements = slopes.shape
+    if nodes.shape != (n_trials, n_elements + 1) or bubbles.shape != (
+        n_trials, n_elements, k - 1
+    ):
+        raise ParameterError(
+            f"expected nodes ({n_trials}, {n_elements + 1}) and bubbles"
+            f" ({n_trials}, {n_elements}, {k - 1}) for slopes {slopes.shape}"
+            f" at order {k}, got {nodes.shape} and {bubbles.shape}"
+        )
+    _, weights, values, derivs = _reference_element(k, _ERROR_EXTRA_POINTS)
+    point_map = _point_map(k, _ERROR_EXTRA_POINTS)
+    lengths = nodes[:, 1:] - nodes[:, :-1]
+    vertex_values = np.zeros((n_trials, n_elements + 1))
+    np.cumsum(slopes * lengths, axis=1, out=vertex_values[:, 1:])
+
+    l2_elements = np.empty((n_trials, n_elements))
+    semi_elements = np.empty((n_trials, n_elements))
+    for trials, elements in _error_blocks(n_trials, n_elements, k):
+        block_lengths = lengths[trials, elements]
+        rows = block_lengths.shape
+        edges = np.empty(rows + (2,))
+        edges[..., 0] = block_lengths
+        edges[..., 1] = nodes[trials, :-1][:, elements]
+        x_quad = edges @ point_map
+        # u_h's coefficients against the basis and, for u_h', against 1
+        # and the bubble derivatives (d/dt of the hat t is 1)
+        block_bubbles = bubbles[trials, elements]
+        coeffs = np.empty(rows + (k + 1,))
+        coeffs[..., 0] = vertex_values[trials, :-1][:, elements]
+        coeffs[..., 1] = vertex_values[trials, 1:][:, elements]
+        coeffs[..., 2:] = block_bubbles
+        slope_coeffs = np.empty(rows + (k,))
+        slope_coeffs[..., 0] = slopes[trials, elements]
+        np.divide(block_bubbles, block_lengths[..., None], out=slope_coeffs[..., 1:])
         # u_h, then u_h - u, then its square
-        diff = solution._values(vertex_values, block) @ values.T
-        ddiff = solution._slopes(block) @ derivs[:, 1:].T  # d/dt of the hat t is 1
+        diff = coeffs @ values.T
+        ddiff = slope_coeffs @ derivs[:, 1:].T
         diff -= np.asarray(problem.exact_solution(x_quad), dtype=np.float64)
         ddiff -= np.asarray(problem.exact_derivative(x_quad), dtype=np.float64)
         diff *= diff
         ddiff *= ddiff
-        l2_elements[block] = diff @ weights
-        semi_elements[block] = ddiff @ weights
+        l2_elements[trials, elements] = diff @ weights
+        semi_elements[trials, elements] = ddiff @ weights
 
-    l2_sq = float((lengths * l2_elements).sum())
-    semi_sq = float((lengths * semi_elements).sum())
-    return math.sqrt(l2_sq + semi_sq), math.sqrt(semi_sq)
+    l2_sq = (lengths * l2_elements).sum(axis=1)
+    semi_sq = (lengths * semi_elements).sum(axis=1)
+    return np.sqrt(l2_sq + semi_sq), np.sqrt(semi_sq)
 
 
 def galerkin_residual(solution: FemSolution, problem: Problem1D) -> float:

@@ -21,15 +21,16 @@ __all__ = ["Mesh1D", "build_mesh", "jittered_nodes"]
 class Mesh1D:
     """A sorted node set on [0, 1] together with the jitter that produced it.
 
-    ``gaps`` holds the element diameters (read-only) and ``h_max`` the
-    largest of them, the mesh size every error bound in this package is
-    phrased in.
+    ``gaps`` holds the element diameters (read-only), ``n_elements`` their
+    number and ``h_max`` the largest of them, the mesh size every error
+    bound in this package is phrased in.
     """
 
     nodes: np.ndarray
     seed: int
     jitter: float
     gaps: np.ndarray = field(init=False, repr=False)
+    n_elements: int = field(init=False)
     h_max: float = field(init=False)
 
     def __post_init__(self):
@@ -44,11 +45,8 @@ class Mesh1D:
             raise ParameterError("mesh nodes must be strictly increasing")
         gaps.flags.writeable = False
         object.__setattr__(self, "gaps", gaps)
+        object.__setattr__(self, "n_elements", gaps.size)
         object.__setattr__(self, "h_max", float(gaps.max()))
-
-    @property
-    def n_elements(self) -> int:
-        return self.nodes.size - 1
 
 
 @lru_cache(maxsize=16)

@@ -35,10 +35,11 @@ class Problem1D:
     H^s seminorm of u (the L2 norm of the s-th derivative).  Problems
     without it are still solvable; they just cannot document constants.
 
-    The three functions must be pointwise: `assemble_solve` and `h1_error`
-    call them once per block of elements (about 2**15 quadrature points),
-    not once per mesh, so a result that depends on the other points of
-    its array (a normalisation, a running sum) changes with the blocking.
+    The three functions must be pointwise: `assemble_solve` and
+    `h1_errors` call them once per block (about 2**15 quadrature points),
+    not once per mesh, and a block may hold part of one mesh or the points
+    of several meshes.  A result that depends on the other points of its
+    array (a normalisation, a running sum) changes with the blocking.
     """
 
     name: str

@@ -7,7 +7,9 @@ the low-order one, trial by trial, as the mesh size varies.
 
 Trial seeds come from `derive_key(seed, stream, n, trial, ...)`.  The
 superiority sweep derives them, and draws its meshes, as one array per
-element count and family; each mesh is then solved on its own.
+element count and family.  Both studies solve each mesh on its own, then
+integrate the H1 errors of a block of trials (as many meshes as one
+`fem.h1_errors` block holds) in one call, so a block holds several meshes.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError
-from .fem import assemble_solve, h1_error
+from .fem import _trials_per_block, assemble_solve, h1_errors
 from .mesh import Mesh1D, build_mesh, jittered_nodes
 from .oracle import McEstimate
 from .problems import Problem1D
@@ -86,17 +88,32 @@ def _checked_n_list(n_list: Sequence[int]) -> None:
         raise ParameterError("n_list must be strictly increasing")
 
 
-def _solve_record(problem: Problem1D, order: int, mesh: Mesh1D) -> ConvergenceRecord:
-    """Solve and H1 error of one trial mesh, as its record."""
-    full, semi = h1_error(assemble_solve(mesh, order, problem), problem)
-    return ConvergenceRecord(
-        order=order,
-        n_elements=mesh.n_elements,
-        h_max=mesh.h_max,
-        error_h1=full,
-        error_h1_semi=semi,
-        seed=mesh.seed,
+def _rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays stacked as rows; a lone array as a view, not a copy.
+
+    A mesh too large to share a block comes alone, and a copy of its
+    solution would raise the peak memory of a large solve by its size.
+    """
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _block_records(
+    problem: Problem1D, order: int, meshes: Sequence[Mesh1D]
+) -> list[ConvergenceRecord]:
+    """Records of one block of equal-size trial meshes: a solve per mesh,
+    then one `h1_errors` call for all of them."""
+    solutions = [assemble_solve(mesh, order, problem) for mesh in meshes]
+    full, semi = h1_errors(
+        order,
+        _rows([mesh.nodes for mesh in meshes]),
+        _rows([solution.slopes for solution in solutions]),
+        _rows([solution.bubbles for solution in solutions]),
+        problem,
     )
+    return [
+        ConvergenceRecord(order, mesh.n_elements, mesh.h_max, error, error_semi, mesh.seed)
+        for mesh, error, error_semi in zip(meshes, full.tolist(), semi.tolist())
+    ]
 
 
 def convergence_study(
@@ -115,13 +132,17 @@ def convergence_study(
     _checked_n_list(n_list)
     if trials_per_n < 1:
         raise ParameterError("trials_per_n must be >= 1")
-    return [
-        _solve_record(
-            problem, order, build_mesh(n, jitter, derive_key(seed, _STREAM_STUDY, n, trial))
-        )
-        for n in n_list
-        for trial in range(trials_per_n)
-    ]
+    records = []
+    for n in n_list:
+        step = _trials_per_block(n, order)
+        for start in range(0, trials_per_n, step):
+            trials = range(start, min(start + step, trials_per_n))
+            meshes = [
+                build_mesh(n, jitter, derive_key(seed, _STREAM_STUDY, n, trial))
+                for trial in trials
+            ]
+            records.extend(_block_records(problem, order, meshes))
+    return records
 
 
 def fit_constant(
@@ -187,7 +208,9 @@ def superiority_sweep(
     so callers can fit constants from exactly the data that produced the
     frequencies.  Trial t's low- and high-order meshes are
     ``build_mesh(n, jitter, derive_key(seed, 12, n, t, role))`` for roles 0
-    and 1, drawn for all trials of one (n, role) at once.
+    and 1, drawn for all trials of one (n, role) at once.  Each mesh is
+    solved on its own; the H1 errors of a block of them come from one
+    `fem.h1_errors` call, equal bit for bit to `h1_error` of each solve.
     """
     _checked_n_list(n_list)
     if order_low >= order_high:
@@ -205,10 +228,17 @@ def superiority_sweep(
             # one independent mesh per trial and family, the meshes of a
             # family drawn as the rows of one node array
             seeds = derive_key(seed, _STREAM_SUPERIORITY, n, trial_index, role)
-            families.append([
-                _solve_record(problem, order, Mesh1D(nodes=nodes, seed=trial_seed, jitter=jitter))
-                for trial_seed, nodes in zip(seeds.tolist(), jittered_nodes(n, jitter, seeds))
-            ])
+            nodes = jittered_nodes(n, jitter, seeds)
+            step = _trials_per_block(n, order)
+            family = []
+            for start in range(0, trials, step):
+                block = slice(start, start + step)
+                meshes = [
+                    Mesh1D(nodes=row, seed=trial_seed, jitter=jitter)
+                    for trial_seed, row in zip(seeds[block].tolist(), nodes[block])
+                ]
+                family.extend(_block_records(problem, order, meshes))
+            families.append(family)
         low, high = families
         wins = sum(b.error_h1 <= a.error_h1 for a, b in zip(low, high))
         records.extend(record for pair in zip(low, high) for record in pair)

@@ -270,6 +270,48 @@ class TestH1Error:
         assert semi**2 == pytest.approx(u_energy - uh_energy, rel=1e-8)
 
 
+def stacked(solutions):
+    """The `h1_errors` arguments of solves of one order, one row per solve."""
+    return (
+        solutions[0].order,
+        np.stack([s.mesh.nodes for s in solutions]),
+        np.stack([s.slopes for s in solutions]),
+        np.stack([s.bubbles for s in solutions]),
+    )
+
+
+class TestH1Errors:
+    @pytest.mark.parametrize("order", [1, 2, 4, 10])
+    @pytest.mark.parametrize("n", [1, 3, 50, 2200])
+    @pytest.mark.parametrize("block_points", [None, 600])
+    def test_rows_equal_one_row_calls(self, order, n, block_points, monkeypatch):
+        # whole meshes several to a block, part-filled last blocks, and
+        # meshes split into element blocks, next to meshes of other jitter
+        if block_points is not None:
+            monkeypatch.setattr(fem, "_BLOCK_POINTS", block_points)
+        problem = get_problem("sine24")
+        solutions = [
+            assemble_solve(build_mesh(n, jitter, seed), order, problem)
+            for seed, jitter in enumerate([0.0, 0.3, 0.1, 0.45, 0.3] if n < 2200 else [0.3, 0.0])
+        ]
+        full, semi = fem.h1_errors(*stacked(solutions), problem)
+        assert list(zip(full.tolist(), semi.tolist())) == [
+            h1_error(s, problem) for s in solutions
+        ]
+
+    def test_shapes_and_order_checked(self):
+        solutions = [assemble_solve(build_mesh(4, 0.3, seed), 3, SINE) for seed in (1, 2)]
+        order, nodes, slopes, bubbles = stacked(solutions)
+        with pytest.raises(ParameterError, match="bubbles"):
+            fem.h1_errors(order, nodes, slopes, bubbles[:, :, :1], SINE)
+        with pytest.raises(ParameterError, match="nodes"):
+            fem.h1_errors(order, nodes[:1], slopes, bubbles, SINE)
+        with pytest.raises(ParameterError, match="order"):
+            fem.h1_errors(11, nodes, slopes, bubbles, SINE)
+        full, semi = fem.h1_errors(order, nodes[:0], slopes[:0], bubbles[:0], SINE)
+        assert full.shape == semi.shape == (0,)
+
+
 def counting(problem):
     """`problem` with call counters on its three callables."""
     calls = {"source": 0, "exact_solution": 0, "exact_derivative": 0}

@@ -111,4 +111,4 @@ class TestMesh1DValidation:
     def test_recomputes_h_max(self):
         mesh = Mesh1D(nodes=np.array([0.0, 0.1, 0.6, 1.0]), seed=0, jitter=0.4)
         assert mesh.h_max == 0.5
-        assert mesh.n_elements == 3
+        assert mesh.n_elements == 3 and type(mesh.n_elements) is int

@@ -1,17 +1,19 @@
 """Convergence studies, constant fits, and superiority experiments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from femprob import fem, study
 from femprob import mesh as mesh_module
-from femprob import study
 from femprob.rng import derive_key
 from femprob import (
     ConvergenceRecord,
     InsufficientDataError,
     ParameterError,
+    Problem1D,
     convergence_study,
     empirical_superiority,
     assemble_solve,
@@ -206,6 +208,127 @@ class TestSweepArrays:
     def test_bad_mesh_parameters_rejected(self, n_list, jitter):
         with pytest.raises(ParameterError):
             superiority_sweep(SINE, 1, 2, n_list, 3, jitter, seed=1)
+
+
+def per_trial_study(problem, order, n_list, jitter, trials, seed):
+    """Reference: `convergence_study` one trial at a time through `h1_error`."""
+    records = []
+    for n in n_list:
+        for trial in range(trials):
+            trial_seed = derive_key(seed, study._STREAM_STUDY, n, trial)
+            mesh = build_mesh(n, jitter, trial_seed)
+            full, semi = h1_error(assemble_solve(mesh, order, problem), problem)
+            records.append(ConvergenceRecord(order, n, mesh.h_max, full, semi, trial_seed))
+    return records
+
+
+def recording(problem):
+    """`problem` whose exact solution logs the size of every array it is given."""
+    sizes = []
+
+    def exact_solution(x):
+        sizes.append(np.size(x))
+        return problem.exact_solution(x)
+
+    wrapped = Problem1D(
+        name=problem.name,
+        exact_solution=exact_solution,
+        exact_derivative=problem.exact_derivative,
+        source=problem.source,
+    )
+    sizes.clear()  # forget the boundary checks of construction
+    return wrapped, sizes
+
+
+SINE24 = get_problem("sine24")
+
+
+class TestErrorBlocks:
+    """The H1 errors of a block of trials come from one kernel call; every
+    record equals the per-trial build_mesh -> assemble_solve -> h1_error chain."""
+
+    # at the default block size, 57 trials leave the last block of every
+    # n = 96 family part-filled (56, 48, 42, 31 and 22 trials per block at
+    # k = 1, 2, 3, 6 and 10); a 700-point block splits the n = 96, k >= 3
+    # meshes into element blocks and holds 1 to 116 whole meshes elsewhere
+    @pytest.mark.parametrize("orders", [(1, 2), (3, 6), (1, 10)])
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("block_points, trials", [(None, 57), (700, 11)])
+    def test_sweep_equals_the_per_trial_chain(
+        self, orders, jitter, block_points, trials, monkeypatch
+    ):
+        if block_points is not None:
+            monkeypatch.setattr(fem, "_BLOCK_POINTS", block_points)
+        n_list = [1, 2, 3, 5, 17, 96]
+        want_records, want_wins = per_trial_sweep(SINE24, *orders, n_list, trials, jitter, 7)
+        points, records = superiority_sweep(SINE24, *orders, n_list, trials, jitter, seed=7)
+        assert records == want_records
+        assert [p.estimate.p_hat for p in points] == [w / trials for w in want_wins]
+
+    @pytest.mark.parametrize("block_points", [None, 5000])
+    def test_trial_spanning_several_blocks(self, block_points, monkeypatch):
+        # n = 2200 at k = 10 is 33,000 error points, two element blocks
+        # of the default size and seven of 5000 points
+        if block_points is not None:
+            monkeypatch.setattr(fem, "_BLOCK_POINTS", block_points)
+        want_records, want_wins = per_trial_sweep(SINE24, 1, 10, [2200], 3, 0.3, 2026)
+        points, records = superiority_sweep(SINE24, 1, 10, [2200], 3, 0.3, seed=2026)
+        assert records == want_records
+        assert points[0].estimate.p_hat == want_wins[0] / 3
+
+    @pytest.mark.parametrize("order", [1, 6, 10])
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    @pytest.mark.parametrize("block_points", [None, 700])
+    def test_convergence_study_equals_the_per_trial_chain(
+        self, order, jitter, block_points, monkeypatch
+    ):
+        if block_points is not None:
+            monkeypatch.setattr(fem, "_BLOCK_POINTS", block_points)
+        n_list = [1, 2, 3, 5, 17, 96]
+        want = per_trial_study(SINE24, order, n_list, jitter, 9, 5)
+        assert convergence_study(SINE24, order, n_list, jitter, 9, seed=5) == want
+
+    def test_lone_mesh_block_adds_no_memory(self):
+        # a mesh too large to share a block goes to `h1_errors` as views of
+        # its solution: stacked copies would add 2.5 MiB at n = 65536, k = 10
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def direct():
+            mesh = build_mesh(65536, 0.3, derive_key(5, study._STREAM_STUDY, 65536, 0))
+            h1_error(assemble_solve(mesh, 10, SINE24), SINE24)
+
+        study_peak = peak(lambda: convergence_study(SINE24, 10, [65536], 0.3, 1, seed=5))
+        assert study_peak <= peak(direct) + 2**20
+
+    @pytest.mark.parametrize("block_points", [None, 700])
+    def test_exact_solution_called_once_per_block(self, block_points, monkeypatch):
+        if block_points is not None:
+            monkeypatch.setattr(fem, "_BLOCK_POINTS", block_points)
+        n_list, trials, orders = [2, 17, 96], 60, (1, 3)
+        problem, sizes = recording(SINE24)
+        per_trial_sweep(problem, *orders, n_list, trials, 0.3, 9)
+        chain = list(sizes)
+        sizes.clear()
+        superiority_sweep(problem, *orders, n_list, trials, 0.3, seed=9)
+        assert sum(sizes) == sum(chain)
+        assert len(chain) >= 2 * len(n_list) * trials  # one call or more per trial
+        blocks = 0
+        for n in n_list:
+            for order in orders:
+                points = n * (order + fem._ERROR_EXTRA_POINTS)
+                if points <= fem._BLOCK_POINTS:
+                    blocks += -(-trials // (fem._BLOCK_POINTS // points))
+                else:
+                    per_block = fem._BLOCK_POINTS // (order + fem._ERROR_EXTRA_POINTS)
+                    blocks += trials * -(-n // per_block)
+        assert len(sizes) <= blocks
+        assert len(sizes) < len(chain)
 
 
 class TestHalfCrossing:
