@@ -15,3 +15,6 @@ class InsufficientDataError(FemProbError):
 
 class UnsupportedProblemError(FemProbError, KeyError):
     """Unknown problem name, or a closed-form quantity is not registered."""
+
+    # KeyError's str() is the repr of its key; this error carries a message
+    __str__ = Exception.__str__

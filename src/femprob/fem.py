@@ -10,17 +10,18 @@ supported; the quadrature orders are fixed so that integration error sits
 well below discretization error across that range (k+3 points for the
 loads; k+5 points for error norms).
 
-`assemble_solve` walks the mesh in blocks of whole elements, about
-`_BLOCK_POINTS` quadrature points each, so every per-point array stays in
-L2 cache.  `h1_errors` integrates the errors of many solves of one order,
-given as arrays with one row per mesh, in blocks of the same size: a block
-holds several whole meshes when they fit, or whole elements of one mesh;
-`h1_error` is its one-mesh call.  A block yields per-element results only
-(loads, weighted squared errors); the global reductions (the solve's
-running sums, the sums of the error integrals over elements) run once per
-mesh over all its elements afterwards.  Each element's result comes from
-the same operations in any block, so every output is bit-identical for any
-block size and whatever other meshes share the block.
+`assemble_solve` and `h1_errors` share one block walker, `_blocks`: a
+block holds about `_BLOCK_POINTS` quadrature points, so every per-point
+array stays in L2 cache, and is as many whole meshes as fit or else whole
+elements of one mesh.  `assemble_solve` walks one mesh; `h1_errors`
+integrates the errors of many solves of one order, given as arrays with
+one row per mesh, and `h1_error` is its one-mesh call.  A block yields
+per-element results only (loads, weighted squared errors); the global
+reductions (the solve's running sums, the sums of the error integrals over
+elements) run once per mesh over all its elements afterwards.  Each
+element's result comes from the same operations in any block, so every
+output is bit-identical for any block size and whatever other meshes share
+the block.
 
 `galerkin_residual` checks a solve against the variational identity in the
 same Lobatto basis: the loads through the solve's own quadrature, the
@@ -106,12 +107,6 @@ def _fem_order(order) -> int:
     return k
 
 
-def _gauss_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre points and weights mapped from [-1, 1] to [0, 1]."""
-    points, weights = np.polynomial.legendre.leggauss(n_points)
-    return 0.5 * (points + 1.0), 0.5 * weights
-
-
 def _lobatto_tables(order: int, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values and derivatives of the degree-k Lobatto basis at `points`.
 
@@ -132,49 +127,58 @@ def _lobatto_tables(order: int, points: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 @lru_cache(maxsize=None)
 def _reference_element(order: int, extra_points: int):
-    """Per-degree tabulation reused across every element and mesh."""
-    points, weights = _gauss_rule(order + extra_points)
-    values, derivs = _lobatto_tables(order, points)
-    return points, weights, values, derivs
+    """Per-degree tabulation reused across every element and mesh.
 
-
-@lru_cache(maxsize=None)
-def _point_map(order: int, extra_points: int) -> np.ndarray:
-    """Rows t and 1: (h, left) @ this gives an element's points left + h * t.
-
-    The product rounds h * t, then adds left * 1, so each point is rounded
-    exactly as the elementwise form; it runs ~5x faster than broadcasting
-    over the few points of each element.
+    Returns (point_map, weights, values, derivs).  The point map's rows are
+    the points t and ones: (h, left) @ point_map gives an element's points
+    left + h * t.  The product rounds h * t, then adds left * 1, so each
+    point is rounded exactly as the elementwise form; it runs ~5x faster
+    than broadcasting over the few points of each element.
     """
-    points = _reference_element(order, extra_points)[0]
+    # Gauss-Legendre points and weights mapped from [-1, 1] to [0, 1]
+    points, weights = np.polynomial.legendre.leggauss(order + extra_points)
+    points, weights = 0.5 * (points + 1.0), 0.5 * weights
+    values, derivs = _lobatto_tables(order, points)
     point_map = np.stack((points, np.ones_like(points)))
     point_map.flags.writeable = False
-    return point_map
+    return point_map, weights, values, derivs
 
 
-def _element_blocks(mesh: Mesh1D, order: int, extra_points: int):
-    """Yield (elements, x_quad) per block of about `_BLOCK_POINTS` points.
+def _blocks(n_trials: int, n_elements: int, points: int):
+    """Yield the (trials, elements) slices of blocks of about `_BLOCK_POINTS` points.
 
-    `elements` is the slice of element indices in the block and `x_quad`
-    their quadrature points under the (order, extra_points) rule, one row
-    per element.
+    For T meshes of n elements with `points` quadrature points each: whole
+    meshes, as many as fit, when one mesh fits; otherwise one mesh at a
+    time, in blocks of whole elements, as many as fit.  Each (trial,
+    element) pair lies in exactly one block, and the blocks come in order.
     """
-    point_map = _point_map(order, extra_points)
-    edges = np.empty((mesh.n_elements, 2))
-    edges[:, 0] = mesh.gaps
-    edges[:, 1] = mesh.nodes[:-1]
-    step = _BLOCK_POINTS // point_map.shape[1]  # >= 2184 elements at k + 5 <= 15 points
-    for start in range(0, mesh.n_elements, step):
-        block = slice(start, start + step)
-        yield block, edges[block] @ point_map
+    meshes = max(1, _BLOCK_POINTS // (n_elements * points))
+    # >= 2184 elements at k + 5 <= 15 points; the slice takes all of a mesh that fits
+    elements = _BLOCK_POINTS // points
+    for start in range(0, n_trials, meshes):
+        for first in range(0, n_elements, elements):
+            yield slice(start, start + meshes), slice(first, first + elements)
+
+
+def _points(lengths: np.ndarray, lefts: np.ndarray, point_map: np.ndarray) -> np.ndarray:
+    """Quadrature points of elements of these lengths and left ends, one row each.
+
+    `lengths` and `lefts` have one shape, 1-D for one mesh or 2-D with one
+    row per mesh; the points add a last axis.
+    """
+    edges = np.empty(lengths.shape + (2,))
+    edges[..., 0] = lengths
+    edges[..., 1] = lefts
+    return edges @ point_map
 
 
 def _element_loads(mesh: Mesh1D, k: int, problem: Problem1D) -> np.ndarray:
     """Per element, the loads l(phi) of its k + 1 Lobatto basis functions."""
-    _, weights, values, _ = _reference_element(k, _ASSEMBLY_EXTRA_POINTS)
-    lengths = mesh.gaps
+    point_map, weights, values, _ = _reference_element(k, _ASSEMBLY_EXTRA_POINTS)
+    lengths, lefts = mesh.gaps, mesh.nodes[:-1]
     loads = np.empty((mesh.n_elements, k + 1))
-    for block, x_quad in _element_blocks(mesh, k, _ASSEMBLY_EXTRA_POINTS):
+    for _, block in _blocks(1, mesh.n_elements, point_map.shape[1]):
+        x_quad = _points(lengths[block], lefts[block], point_map)
         f_quad = np.asarray(problem.source(x_quad), dtype=np.float64)
         if not np.isfinite(f_quad).all():
             raise ValueError("source values must not contain infs or NaNs")
@@ -232,25 +236,6 @@ def _trials_per_block(n_elements: int, order: int) -> int:
     return max(1, _BLOCK_POINTS // max(1, points))  # n < 1 is the mesh's to reject
 
 
-def _error_blocks(n_trials: int, n_elements: int, order: int):
-    """Yield (trials, elements) slices of the `h1_errors` blocks.
-
-    Whole meshes, `_trials_per_block` at a time, when a mesh fits in
-    `_BLOCK_POINTS` points; otherwise one mesh at a time, in blocks of
-    whole elements, as many as fit.
-    """
-    points = order + _ERROR_EXTRA_POINTS
-    if n_elements * points <= _BLOCK_POINTS:
-        step = _BLOCK_POINTS // (n_elements * points)
-        for start in range(0, n_trials, step):
-            yield slice(start, start + step), slice(None)
-    else:
-        step = _BLOCK_POINTS // points  # >= 2184 elements at k + 5 <= 15 points
-        for trial in range(n_trials):
-            for start in range(0, n_elements, step):
-                yield slice(trial, trial + 1), slice(start, start + step)
-
-
 def h1_errors(
     order: int,
     nodes: np.ndarray,
@@ -269,7 +254,7 @@ def h1_errors(
     rounding floor on fine meshes.
 
     The squared errors are integrated per element, block by block (see
-    `_error_blocks`), from u_h's coefficients of that block, sliced from
+    `_blocks`), from u_h's coefficients of that block, sliced from
     one running sum of the vertex values per mesh; the sums over elements
     run once per mesh over all of them.  The products run stacked, one
     BLAS call per mesh of the block, so each mesh's errors equal its own
@@ -285,21 +270,19 @@ def h1_errors(
             f" ({n_trials}, {n_elements}, {k - 1}) for slopes {slopes.shape}"
             f" at order {k}, got {nodes.shape} and {bubbles.shape}"
         )
-    _, weights, values, derivs = _reference_element(k, _ERROR_EXTRA_POINTS)
-    point_map = _point_map(k, _ERROR_EXTRA_POINTS)
+    if n_elements < 1:
+        raise ParameterError("a mesh needs at least one element")
+    point_map, weights, values, derivs = _reference_element(k, _ERROR_EXTRA_POINTS)
     lengths = nodes[:, 1:] - nodes[:, :-1]
     vertex_values = np.zeros((n_trials, n_elements + 1))
     np.cumsum(slopes * lengths, axis=1, out=vertex_values[:, 1:])
 
     l2_elements = np.empty((n_trials, n_elements))
     semi_elements = np.empty((n_trials, n_elements))
-    for trials, elements in _error_blocks(n_trials, n_elements, k):
+    for trials, elements in _blocks(n_trials, n_elements, point_map.shape[1]):
         block_lengths = lengths[trials, elements]
         rows = block_lengths.shape
-        edges = np.empty(rows + (2,))
-        edges[..., 0] = block_lengths
-        edges[..., 1] = nodes[trials, :-1][:, elements]
-        x_quad = edges @ point_map
+        x_quad = _points(block_lengths, nodes[trials, :-1][:, elements], point_map)
         # u_h's coefficients against the basis and, for u_h', against 1
         # and the bubble derivatives (d/dt of the hat t is 1)
         block_bubbles = bubbles[trials, elements]

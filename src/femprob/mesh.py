@@ -7,7 +7,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -49,14 +48,6 @@ class Mesh1D:
         object.__setattr__(self, "h_max", float(gaps.max()))
 
 
-@lru_cache(maxsize=16)
-def _uniform_nodes(n_elements: int) -> np.ndarray:
-    """Read-only uniform node template; callers copy it before jittering."""
-    nodes = np.linspace(0.0, 1.0, n_elements + 1)
-    nodes.flags.writeable = False
-    return nodes
-
-
 def jittered_nodes(n_elements: int, jitter: float, seeds: np.ndarray) -> np.ndarray:
     """Nodes of one jittered n-element mesh per seed, one row per mesh.
 
@@ -71,7 +62,7 @@ def jittered_nodes(n_elements: int, jitter: float, seeds: np.ndarray) -> np.ndar
     if not 0.0 <= jitter < 0.5:
         raise ParameterError(f"jitter must lie in [0, 0.5), got {jitter!r}")
     nodes = np.empty((len(seeds), n_elements + 1))
-    nodes[:] = _uniform_nodes(n_elements)
+    nodes[:] = np.linspace(0.0, 1.0, n_elements + 1)
     if n_elements > 1 and jitter > 0.0:
         h_uniform = 1.0 / n_elements
         keys = derive_key(seeds)

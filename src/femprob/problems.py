@@ -36,10 +36,11 @@ class Problem1D:
     without it are still solvable; they just cannot document constants.
 
     The three functions must be pointwise: `assemble_solve` and
-    `h1_errors` call them once per block (about 2**15 quadrature points),
-    not once per mesh, and a block may hold part of one mesh or the points
-    of several meshes.  A result that depends on the other points of its
-    array (a normalisation, a running sum) changes with the blocking.
+    `h1_errors` call them once per block of `fem`'s one block walker
+    (about 2**15 quadrature points), not once per mesh, and a block may
+    hold part of one mesh or the points of several meshes.  A result that
+    depends on the other points of its array (a normalisation, a running
+    sum) changes with the blocking.
     """
 
     name: str

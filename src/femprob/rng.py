@@ -16,11 +16,10 @@ of keys, one row each.  Scalar and array paths run the same in-place
 finalizer, so each element equals its scalar call.
 
 `uniforms` forms the counters of a block of draws as one sum of a read-only
-table of steps ``(i + 1) * GOLDEN`` and the scalar ``key + offset * GOLDEN``;
-the table grows to the longest row drawn so far, up to `_BLOCK` steps, and
-longer streams are drawn block by block.  Its `out` argument takes a
-float64 destination, so a loop over blocks can draw each one into the same
-buffer.
+table of `_BLOCK` steps ``(i + 1) * GOLDEN``, built on the first draw, and
+the scalar ``key + offset * GOLDEN``; longer streams are drawn block by
+block.  Its `out` argument takes a float64 destination, so a loop over
+blocks can draw each one into the same buffer.
 
 The mixer is the splitmix64 finalizer (Steele, Lea & Flood's SplittableRandom,
 also used to seed the xoshiro family); it passes BigCrush as a bare counter
@@ -28,6 +27,8 @@ hash, which is ample for Monte Carlo work at the scales used here.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -98,26 +99,16 @@ def derive_key(seed: int | np.ndarray, *path: int | np.ndarray) -> int | np.ndar
     return key
 
 
-# read-only counter steps ``(i + 1) * GOLDEN`` mod 2**64 for i < its size,
-# grown by `_steps`; empty until the first draw
-_step_table = np.empty(0, dtype=np.uint64)
+@cache
+def _steps() -> np.ndarray:
+    """Read-only counter steps ``(i + 1) * GOLDEN`` mod 2**64 for i < `_BLOCK`.
 
-
-def _steps(count: int) -> np.ndarray:
-    """The counter step table, holding at least min(`count`, `_BLOCK`) steps.
-
-    A shorter table is replaced by one of the next power of two of steps at
-    or above `count`, capped at `_BLOCK`, so a run that draws short rows
-    never builds the whole 256 KiB table.  Step i is the same in every
-    table, so the draws do not depend on its size.
+    Built on the first draw, not at import, and shared by every draw after.
     """
-    global _step_table
-    if _step_table.size < min(count, _BLOCK):
-        steps = np.arange(1, min(1 << (count - 1).bit_length(), _BLOCK) + 1, dtype=np.uint64)
-        steps *= _GOLDEN_U64
-        steps.flags.writeable = False
-        _step_table = steps
-    return _step_table
+    steps = np.arange(1, _BLOCK + 1, dtype=np.uint64)
+    steps *= _GOLDEN_U64
+    steps.flags.writeable = False
+    return steps
 
 
 def uniforms(
@@ -147,7 +138,7 @@ def uniforms(
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape {shape}")
-    steps = _steps(count)
+    steps = _steps()
     for first in range(0, count, _BLOCK):
         z = steps[:count - first] + np.uint64((start + first * _GOLDEN) & _MASK64)
         if keys:

@@ -7,15 +7,17 @@ the low-order one, trial by trial, as the mesh size varies.
 
 Trial seeds come from `derive_key(seed, stream, n, trial, ...)`.  The
 superiority sweep derives them, and draws its meshes, as one array per
-element count and family.  Both studies solve each mesh on its own, then
-integrate the H1 errors of a block of trials (as many meshes as one
-`fem.h1_errors` block holds) in one call, so a block holds several meshes.
+element count and family.  Both studies pass the meshes of each element
+count and family, lazily, to one loop: it solves each mesh on its own, then
+integrates the H1 errors of a chunk of trials (as many meshes as one
+`fem.h1_errors` block holds) in one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -97,23 +99,32 @@ def _rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _block_records(
-    problem: Problem1D, order: int, meshes: Sequence[Mesh1D]
+def _family_records(
+    problem: Problem1D, order: int, n: int, meshes: Iterable[Mesh1D]
 ) -> list[ConvergenceRecord]:
-    """Records of one block of equal-size trial meshes: a solve per mesh,
-    then one `h1_errors` call for all of them."""
-    solutions = [assemble_solve(mesh, order, problem) for mesh in meshes]
-    full, semi = h1_errors(
-        order,
-        _rows([mesh.nodes for mesh in meshes]),
-        _rows([solution.slopes for solution in solutions]),
-        _rows([solution.bubbles for solution in solutions]),
-        problem,
-    )
-    return [
-        ConvergenceRecord(order, mesh.n_elements, mesh.h_max, error, error_semi, mesh.seed)
-        for mesh, error, error_semi in zip(meshes, full.tolist(), semi.tolist())
-    ]
+    """Records of a family of n-element trial meshes, in the order given.
+
+    The meshes are taken lazily, as many at a time as one `h1_errors`
+    block holds: a solve per mesh, then one `h1_errors` call for all of
+    them.  Each chunk's solutions are dropped before the next is solved.
+    """
+    meshes, step = iter(meshes), _trials_per_block(n, order)
+    records = []
+    while chunk := list(islice(meshes, step)):
+        solutions = [assemble_solve(mesh, order, problem) for mesh in chunk]
+        full, semi = h1_errors(
+            order,
+            _rows([mesh.nodes for mesh in chunk]),
+            _rows([solution.slopes for solution in solutions]),
+            _rows([solution.bubbles for solution in solutions]),
+            problem,
+        )
+        del solutions
+        records.extend(
+            ConvergenceRecord(order, mesh.n_elements, mesh.h_max, error, error_semi, mesh.seed)
+            for mesh, error, error_semi in zip(chunk, full.tolist(), semi.tolist())
+        )
+    return records
 
 
 def convergence_study(
@@ -134,14 +145,11 @@ def convergence_study(
         raise ParameterError("trials_per_n must be >= 1")
     records = []
     for n in n_list:
-        step = _trials_per_block(n, order)
-        for start in range(0, trials_per_n, step):
-            trials = range(start, min(start + step, trials_per_n))
-            meshes = [
-                build_mesh(n, jitter, derive_key(seed, _STREAM_STUDY, n, trial))
-                for trial in trials
-            ]
-            records.extend(_block_records(problem, order, meshes))
+        meshes = (
+            build_mesh(n, jitter, derive_key(seed, _STREAM_STUDY, n, trial))
+            for trial in range(trials_per_n)
+        )
+        records.extend(_family_records(problem, order, n, meshes))
     return records
 
 
@@ -228,17 +236,11 @@ def superiority_sweep(
             # one independent mesh per trial and family, the meshes of a
             # family drawn as the rows of one node array
             seeds = derive_key(seed, _STREAM_SUPERIORITY, n, trial_index, role)
-            nodes = jittered_nodes(n, jitter, seeds)
-            step = _trials_per_block(n, order)
-            family = []
-            for start in range(0, trials, step):
-                block = slice(start, start + step)
-                meshes = [
-                    Mesh1D(nodes=row, seed=trial_seed, jitter=jitter)
-                    for trial_seed, row in zip(seeds[block].tolist(), nodes[block])
-                ]
-                family.extend(_block_records(problem, order, meshes))
-            families.append(family)
+            meshes = (
+                Mesh1D(nodes=row, seed=trial_seed, jitter=jitter)
+                for trial_seed, row in zip(seeds.tolist(), jittered_nodes(n, jitter, seeds))
+            )
+            families.append(_family_records(problem, order, n, meshes))
         low, high = families
         wins = sum(b.error_h1 <= a.error_h1 for a, b in zip(low, high))
         records.extend(record for pair in zip(low, high) for record in pair)

@@ -170,6 +170,13 @@ class TestFemCommand:
         result = run_cli("fem", "--problem", "warp", expect=2)
         assert "unknown problem" in result.stderr
 
+    def test_unknown_problem_is_one_plain_line(self):
+        result = run_cli("fem", "--problem", "sine0", expect=2)
+        assert result.stderr == (
+            "error: unknown problem 'sine0'; available: sine, poly2, poly3, poly4"
+            " and sineN for any integer N >= 1\n"
+        )
+
 
 class TestCompareCommand:
     def test_zero_jitter_degenerate_frequencies(self, tmp_path):

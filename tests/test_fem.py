@@ -311,6 +311,10 @@ class TestH1Errors:
         full, semi = fem.h1_errors(order, nodes[:0], slopes[:0], bubbles[:0], SINE)
         assert full.shape == semi.shape == (0,)
 
+    def test_meshes_without_elements_rejected(self):
+        with pytest.raises(ParameterError, match="at least one element"):
+            fem.h1_errors(2, np.zeros((3, 1)), np.zeros((3, 0)), np.zeros((3, 0, 1)), SINE)
+
 
 def counting(problem):
     """`problem` with call counters on its three callables."""
@@ -357,12 +361,32 @@ class TestElementBlocks:
     def test_points_round_as_left_plus_h_t(self, order, extra):
         # the blocks form the points as a matrix product; it must round
         # each point exactly as the elementwise left + h * t
-        points = fem._reference_element(order, extra)[0]
+        point_map = fem._reference_element(order, extra)[0]
+        points = point_map[0]
         for n in (1, 7, 3 * (fem._BLOCK_POINTS // points.size) + 7):
             mesh = build_mesh(n, 0.3, seed=n + order)
             want = mesh.nodes[:-1, None] + mesh.gaps[:, None] * points
-            got = np.concatenate([x for _, x in fem._element_blocks(mesh, order, extra)])
+            got = np.concatenate([
+                fem._points(mesh.gaps[block], mesh.nodes[:-1][block], point_map)
+                for _, block in fem._blocks(1, n, points.size)
+            ])
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("points", [1, 15])
+    @pytest.mark.parametrize("n_trials", [0, 1, 5])
+    def test_blocks_tile_every_trial_and_element_once_in_order(self, n_trials, points):
+        # one element, a mesh of exactly one block, one element above it
+        # (an element block plus a lone element), and meshes that leave
+        # the last block of trials or of elements part-filled
+        per_block = fem._BLOCK_POINTS // points
+        for n in (1, 3, per_block, per_block + 1, 2 * per_block + 5):
+            cells = np.arange(n_trials * n).reshape(n_trials, n)
+            visited = []
+            for trials, elements in fem._blocks(n_trials, n, points):
+                block = cells[trials, elements]
+                assert 0 < block.size * points <= fem._BLOCK_POINTS
+                visited.extend(block.ravel().tolist())
+            assert visited == list(range(n_trials * n))
 
     def test_peak_memory_of_a_large_solve(self):
         # numpy reports its buffers to tracemalloc.  At n = 65536, k = 10,

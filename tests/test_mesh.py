@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from femprob import Mesh1D, ParameterError, build_mesh
 from femprob import mesh as mesh_module
-from femprob.mesh import _uniform_nodes, jittered_nodes
+from femprob.mesh import jittered_nodes
 
 
 class TestBuildMesh:
@@ -52,7 +52,6 @@ class TestBuildMesh:
     def test_jitter_leaves_uniform_template_untouched(self):
         jittered = build_mesh(8, 0.3, seed=5)
         assert not np.array_equal(jittered.nodes, np.linspace(0.0, 1.0, 9))
-        np.testing.assert_array_equal(_uniform_nodes(8), np.linspace(0.0, 1.0, 9))
         np.testing.assert_array_equal(
             build_mesh(8, 0.0, seed=5).nodes, np.linspace(0.0, 1.0, 9)
         )

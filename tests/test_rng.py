@@ -68,24 +68,20 @@ class TestDeterminism:
         assert rows[0].tolist() == [uniform_at(7, offset + i) for i in range(count)]
 
 
-    def test_step_table_grows_without_changing_draws(self, monkeypatch):
-        # small, then large, then small again: the table grows to the next
-        # power of two of the longest row (capped at one block) and never
-        # shrinks, and every draw matches `uniform_at` across the growth
-        monkeypatch.setattr(rng, "_step_table", np.empty(0, dtype=np.uint64))
+    def test_step_table_serves_every_row_length(self):
+        # small, then large, then small again, from a table built by the
+        # first draw: every draw matches `uniform_at` at every length
+        rng._steps.cache_clear()
         key = derive_key(2026, 3)
         keys = np.array([key, 11], dtype=np.uint64)
-        sizes = []
         for count, split in [(5, 2), (95, 40), (2**15 + 3, 2**15 - 1), (3, 1), (200, 150)]:
             whole = uniforms(key, count)
-            sizes.append(rng._step_table.size)
             assert whole.tolist() == [uniform_at(key, i) for i in range(count)]
             parts = np.concatenate([uniforms(key, split), uniforms(key, count - split, split)])
             assert parts.tobytes() == whole.tobytes()
             rows = uniforms(keys, count)
             assert rows[0].tobytes() == whole.tobytes()
             assert rows[1].tobytes() == uniforms(11, count).tobytes()
-        assert sizes == [8, 128, 2**15, 2**15, 2**15]
 
 
 class TestDerivation:
