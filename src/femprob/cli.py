@@ -26,17 +26,20 @@ from .laws import ElementPair, prob_sigmoid, prob_two_step, tabulate_curve
 from .oracle import mc_estimate
 from .problems import get_problem
 from .rng import derive_key
-from .study import (
-    convergence_study,
-    estimate_half_crossing,
-    fit_constant,
-    records_to_csv,
-    superiority_sweep,
-)
+from .study import convergence_study, estimate_half_crossing, fit_constant, superiority_sweep
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _record_lines(records) -> list[str]:
+    """Convergence records as CSV lines under their header."""
+    return ["order,n_elements,h_max,error_h1,error_h1_semi,seed"] + [
+        f"{r.order},{r.n_elements},{_fmt(r.h_max)},{_fmt(r.error_h1)},"
+        f"{_fmt(r.error_h1_semi)},{r.seed}"
+        for r in records
+    ]
 
 
 class _Finite(click.FloatRange):
@@ -56,13 +59,17 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     names of the running subcommand (`-` or `_` spelled); click converts and
     checks each value exactly as it would the flag, and an explicit flag
     still wins.  An unknown key, or one given twice, is rejected rather than
-    silently dropped.
+    silently dropped.  The file is read as UTF-8, whatever the locale.
     """
     if path is None:
         return
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"config file {path!r} is not UTF-8 text: {exc}") from None
     known = {other.name for other in ctx.command.params if other is not param}
     values: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -310,7 +317,7 @@ def fem(problem, orders, n_list, jitter, trials, fix_rate, fit_out, validate_rat
         f"# jitter={_fmt(jitter)} trials={trials} seed={seed}"
         f" fix_rate={str(fix_rate).lower()}",
     ]
-    record_lines = head + records_to_csv(records).splitlines()
+    record_lines = head + _record_lines(records)
 
     fit_lines = [
         "# femprob fem fits",
@@ -329,7 +336,7 @@ def fem(problem, orders, n_list, jitter, trials, fix_rate, fit_out, validate_rat
         fit_lines.append(
             f"{order},{_fmt(fitted.constant)},{_fmt(fitted.rate)},{_fmt(fitted.residual)}"
         )
-        if abs(fitted.rate - order) > rate_window:
+        if not fitted.rate_consistent(rate_window):
             rates_ok &= not validate_rates
             click.echo(
                 f"order {order}: fitted rate {fitted.rate:.4f} outside"

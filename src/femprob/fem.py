@@ -144,6 +144,12 @@ def _reference_element(order: int, extra_points: int):
     return point_map, weights, values, derivs
 
 
+def _meshes_per_block(n_elements: int, points: int) -> int:
+    """How many n-element meshes of `points` quadrature points per element one
+    block holds: as many as fit in `_BLOCK_POINTS`, and at least one."""
+    return max(1, _BLOCK_POINTS // max(1, n_elements * points))  # n < 1 is the mesh's to reject
+
+
 def _blocks(n_trials: int, n_elements: int, points: int):
     """Yield the (trials, elements) slices of blocks of about `_BLOCK_POINTS` points.
 
@@ -152,7 +158,7 @@ def _blocks(n_trials: int, n_elements: int, points: int):
     time, in blocks of whole elements, as many as fit.  Each (trial,
     element) pair lies in exactly one block, and the blocks come in order.
     """
-    meshes = max(1, _BLOCK_POINTS // (n_elements * points))
+    meshes = _meshes_per_block(n_elements, points)
     # >= 2184 elements at k + 5 <= 15 points; the slice takes all of a mesh that fits
     elements = _BLOCK_POINTS // points
     for start in range(0, n_trials, meshes):
@@ -227,13 +233,11 @@ def h1_error(solution: FemSolution, problem: Problem1D) -> tuple[float, float]:
 def _trials_per_block(n_elements: int, order: int) -> int:
     """How many n-element meshes of degree `order` one `h1_errors` block holds.
 
-    As many as fit in `_BLOCK_POINTS` error quadrature points, and at least
-    one.  A caller that passes `h1_errors` at most this many meshes at a
-    time gets one block per call, so one call of each exact-solution
-    callable per call.
+    A caller that passes `h1_errors` at most this many meshes at a time
+    gets one block per call, so one call of each exact-solution callable
+    per call.
     """
-    points = n_elements * (_fem_order(order) + _ERROR_EXTRA_POINTS)
-    return max(1, _BLOCK_POINTS // max(1, points))  # n < 1 is the mesh's to reject
+    return _meshes_per_block(n_elements, _fem_order(order) + _ERROR_EXTRA_POINTS)
 
 
 def h1_errors(

@@ -99,15 +99,25 @@ def crossover_h_star(low: ErrorLaw, high: ErrorLaw) -> float:
     """Mesh size where the two bound curves intersect.
 
     Computed in log space, ``exp((ln C_low - ln C_high) / (m - k))``, so that
-    constant ratios spanning many orders of magnitude stay representable.
+    constant ratios spanning many orders of magnitude stay representable;
+    a ratio whose crossover overflows, or underflows to zero, is rejected.
     """
     if low.order >= high.order:
         raise ParameterError(
             f"low.order must be < high.order, got {low.order} >= {high.order}"
         )
-    return math.exp(
-        (math.log(low.constant) - math.log(high.constant)) / (high.order - low.order)
-    )
+    try:
+        h_star = math.exp(
+            (math.log(low.constant) - math.log(high.constant)) / (high.order - low.order)
+        )
+    except OverflowError:
+        h_star = math.inf
+    if not 0.0 < h_star < math.inf:
+        raise ParameterError(
+            f"crossover h* of constants {low.constant!r} and {high.constant!r}"
+            " is not a positive finite float"
+        )
+    return h_star
 
 
 @dataclass(frozen=True)

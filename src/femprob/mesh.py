@@ -18,7 +18,7 @@ __all__ = ["Mesh1D", "build_mesh", "jittered_nodes"]
 
 @dataclass(frozen=True)
 class Mesh1D:
-    """A sorted node set on [0, 1] together with the jitter that produced it.
+    """A sorted node set on [0, 1] together with the seed that drew it.
 
     ``gaps`` holds the element diameters (read-only), ``n_elements`` their
     number and ``h_max`` the largest of them, the mesh size every error
@@ -27,7 +27,6 @@ class Mesh1D:
 
     nodes: np.ndarray
     seed: int
-    jitter: float
     gaps: np.ndarray = field(init=False, repr=False)
     n_elements: int = field(init=False)
     h_max: float = field(init=False)
@@ -82,4 +81,4 @@ def build_mesh(n_elements: int, jitter: float, seed: int) -> Mesh1D:
     so ordering can never break.  Deterministic in `seed`.
     """
     seeds = np.array([seed % 2**64], dtype=np.uint64)
-    return Mesh1D(nodes=jittered_nodes(n_elements, jitter, seeds)[0], seed=seed, jitter=jitter)
+    return Mesh1D(nodes=jittered_nodes(n_elements, jitter, seeds)[0], seed=seed)

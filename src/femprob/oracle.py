@@ -189,8 +189,9 @@ def conditional_identity_check(
     counting, because every in-band sample is also a winning sample;
     independent batches make the residual a real n**-1/2 statistical
     quantity.)  Stated for h below the crossover, where the band
-    [high bound, low bound] is nonempty.  The three batches are counted
-    block by block, like `mc_estimate`.
+    [high bound, low bound] is nonempty.  P{win} is the `mc_estimate` of
+    sub-stream 2 of `seed`; the other two batches are counted block by
+    block, like it.
     """
     h = _checked_h(h)
     if h >= pair.h_star:
@@ -199,33 +200,26 @@ def conditional_identity_check(
         )
     if n_trials < 1:
         raise ParameterError("n_trials must be >= 1")
+    prob_win = mc_estimate(pair, h, n_trials, derive_key(seed, _STREAM_WIN)).p_hat
     top_low, top_high = _intervals(pair, h)
-    win, band, conditional = (
-        derive_key(seed, tag) for tag in (_STREAM_WIN, _STREAM_BAND, _STREAM_CONDITIONAL)
-    )
+    band, conditional = (derive_key(seed, tag) for tag in (_STREAM_BAND, _STREAM_CONDITIONAL))
     streams = (
-        (derive_key(win, _STREAM_LOW), top_low),
-        (derive_key(win, _STREAM_HIGH), top_high),
         (derive_key(band, _STREAM_LOW), top_low),
         (derive_key(conditional, _STREAM_LOW), top_low),
         (derive_key(conditional, _STREAM_HIGH), top_high),
     )
-    n_wins_direct = n_band = n_wins = n_band_and_win = 0
-    for win_low, win_high, band_low, x_low, x_high in _scaled_blocks(
-        n_trials, _BLOCK, *streams
-    ):
-        n_wins_direct += int(np.count_nonzero(win_high <= win_low))
+    n_band = n_wins = n_band_and_win = 0
+    for band_low, x_low, x_high in _scaled_blocks(n_trials, _BLOCK, *streams):
         n_band += int(np.count_nonzero((band_low >= top_high) & (band_low <= top_low)))
         wins = x_high <= x_low
         n_wins += int(np.count_nonzero(wins))
         in_band = (x_low >= top_high) & (x_low <= top_low)
         n_band_and_win += int(np.count_nonzero(in_band & wins))
 
-    if n_wins_direct == 0:
+    if prob_win == 0.0:
         raise InsufficientDataError(
             "the winning event never occurred; increase n_trials to estimate it"
         )
-    prob_win = n_wins_direct / n_trials
     prob_band = n_band / n_trials
     if n_wins == 0:
         raise InsufficientDataError(

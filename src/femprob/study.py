@@ -37,11 +37,8 @@ __all__ = [
     "fit_constant",
     "empirical_superiority",
     "superiority_sweep",
-    "records_to_csv",
     "estimate_half_crossing",
 ]
-
-RECORD_CSV_HEADER = "order,n_elements,h_max,error_h1,error_h1_semi,seed"
 
 # sub-stream tags for per-trial seed derivation
 _STREAM_STUDY = 11
@@ -237,7 +234,7 @@ def superiority_sweep(
             # family drawn as the rows of one node array
             seeds = derive_key(seed, _STREAM_SUPERIORITY, n, trial_index, role)
             meshes = (
-                Mesh1D(nodes=row, seed=trial_seed, jitter=jitter)
+                Mesh1D(nodes=row, seed=trial_seed)
                 for trial_seed, row in zip(seeds.tolist(), jittered_nodes(n, jitter, seeds))
             )
             families.append(_family_records(problem, order, n, meshes))
@@ -308,8 +305,11 @@ def estimate_half_crossing(
     """
     if len(h_values) != len(p_values):
         raise ParameterError("h_values and p_values must have equal length")
-    order = np.argsort(h_values)
-    h = np.asarray(h_values, dtype=np.float64)[order]
+    h = np.asarray(h_values, dtype=np.float64)
+    if h.size == 0 or not ((h > 0.0) & (h < math.inf)).all():
+        raise ParameterError("h_values must be non-empty, positive and finite")
+    order = np.argsort(h)
+    h = h[order]
     p = _non_increasing_fit(np.asarray(p_values, dtype=np.float64)[order])
     crossings = []
     for i in range(len(h) - 1):
@@ -324,14 +324,3 @@ def estimate_half_crossing(
     if not crossings:
         return None
     return float(math.exp(np.mean(crossings)))
-
-
-def records_to_csv(records: Iterable[ConvergenceRecord]) -> str:
-    """Render records as CSV rows under the canonical header."""
-    lines = [RECORD_CSV_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.order},{r.n_elements},{r.h_max:.17g},"
-            f"{r.error_h1:.17g},{r.error_h1_semi:.17g},{r.seed}"
-        )
-    return "\n".join(lines) + "\n"

@@ -13,22 +13,19 @@ import pytest
 
 from femprob import (
     ElementPair,
-    empirical_superiority,
-    estimate_half_crossing,
     fit_constant,
     get_problem,
     h1_error,
     assemble_solve,
     build_mesh,
     convergence_study,
-    conditional_identity_check,
     mc_estimate,
-    numeric_area_oracle,
     prob_sigmoid,
-    prob_sigmoid_complement,
-    superiority_sweep,
     trapezium_ratio,
 )
+from femprob.laws import prob_sigmoid_complement
+from femprob.oracle import conditional_identity_check, numeric_area_oracle
+from femprob.study import empirical_superiority, estimate_half_crossing, superiority_sweep
 from femprob.rng import derive_key
 
 BASE_SEED = 20260810

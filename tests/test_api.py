@@ -33,6 +33,18 @@ def test_package_exports_exactly_what_it_imports():
     assert sorted(femprob.__all__) == sorted(imported | {"__version__"})
 
 
+def test_package_exports_the_readme_api():
+    # the README's Python block, the Problem1D it asks users to build, and
+    # the error classes; every other name lives in its own module
+    assert sorted(femprob.__all__) == sorted([
+        "ElementPair", "prob_sigmoid", "trapezium_ratio", "mc_estimate",
+        "get_problem", "build_mesh", "assemble_solve", "h1_error",
+        "convergence_study", "fit_constant", "Problem1D", "FemProbError",
+        "ParameterError", "InsufficientDataError", "UnsupportedProblemError",
+        "__version__",
+    ])
+
+
 def test_readme_python_block_runs():
     # the README shows results as "expression  # value"; a plain number is
     # checked exactly, anything else ("~0.75", a tuple) only has to run

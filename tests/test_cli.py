@@ -9,7 +9,9 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from femprob import cli
+from femprob import cli, convergence_study, get_problem
+
+SINE = get_problem("sine")
 
 
 def run_cli(*args, expect=0):
@@ -176,6 +178,23 @@ class TestFemCommand:
             "error: unknown problem 'sine0'; available: sine, poly2, poly3, poly4"
             " and sineN for any integer N >= 1\n"
         )
+
+
+class TestRecordCsv:
+    def test_header_and_shape(self):
+        records = convergence_study(SINE, 1, [4, 8], 0.0, 1, seed=0)
+        lines = cli._record_lines(records)
+        assert lines[0] == "order,n_elements,h_max,error_h1,error_h1_semi,seed"
+        assert len(lines) == 3
+        first = lines[1].split(",")
+        assert first[0] == "1" and first[1] == "4"
+        assert float(first[2]) == 0.25
+
+    def test_roundtrip_precision(self):
+        records = convergence_study(SINE, 2, [8], 0.3, 1, seed=42)
+        row = cli._record_lines(records)[1].split(",")
+        assert float(row[2]) == records[0].h_max
+        assert float(row[3]) == records[0].error_h1
 
 
 class TestCompareCommand:
@@ -360,6 +379,20 @@ class TestUsageErrors:
                 args = args[:i] + args[i + 2:]
             result = run_cli(*args, "--config", config, expect=2)
         assert f"'{flag}'" in error_line(result)
+
+    @pytest.mark.parametrize("command", ["law", "mc"])
+    @pytest.mark.parametrize("ck, cm", [(1e300, 1e-300), (1e-300, 1e300)])
+    def test_crossover_out_of_range_is_bad_input(self, command, ck, cm):
+        trials = ["--trials", 100] if command == "mc" else []
+        result = run_cli(command, "--ck", ck, "--k", 1, "--cm", cm, "--m", 2,
+                         "--h-min", 0.1, "--h-max", 1, *trials, expect=2)
+        assert "crossover" in error_line(result)
+
+    def test_config_that_is_not_utf8_is_bad_input(self, tmp_path):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(b"ck=1\nk=1\ncm=2\nm=2\nh_min=0.1\nh_max=1 # \xff\n")
+        result = run_cli("law", "--config", config, expect=2)
+        assert "latin1.cfg" in error_line(result)
 
     @pytest.mark.parametrize("command", ["law", "mc"])
     @pytest.mark.parametrize("flag, value", [("--h-max", "inf"), ("--h-min", "nan")])

@@ -13,16 +13,15 @@ from numpy.polynomial import Polynomial
 from scipy.linalg import solveh_banded
 
 from femprob import (
-    FemSolution,
     ParameterError,
     Problem1D,
     assemble_solve,
     build_mesh,
     fem,
-    galerkin_residual,
     get_problem,
     h1_error,
 )
+from femprob.fem import FemSolution, galerkin_residual
 
 SINE = get_problem("sine")
 POLY2 = get_problem("poly2")

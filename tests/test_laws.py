@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from femprob import (
-    ElementPair,
+from femprob import ElementPair, ParameterError, prob_sigmoid
+from femprob.laws import (
     ErrorLaw,
-    ParameterError,
     crossover_h_star,
-    prob_sigmoid,
     prob_sigmoid_complement,
     prob_two_step,
     tabulate_curve,
@@ -103,6 +101,14 @@ class TestCrossover:
             crossover_h_star(ErrorLaw(2, 1.0), ErrorLaw(2, 1.0))
         with pytest.raises(ParameterError):
             crossover_h_star(ErrorLaw(3, 1.0), ErrorLaw(2, 1.0))
+
+    @pytest.mark.parametrize("c_low, c_high", [(1e300, 1e-300), (1e-300, 1e300)])
+    def test_rejects_crossover_outside_the_floats(self, c_low, c_high):
+        # ln(1e300 / 1e-300) = 1381.6 overflows exp; its negative underflows to 0
+        with pytest.raises(ParameterError, match="crossover"):
+            crossover_h_star(ErrorLaw(1, c_low), ErrorLaw(2, c_high))
+        with pytest.raises(ParameterError, match="crossover"):
+            ElementPair.from_constants(c_low, 1, c_high, 2)
 
     @given(st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=60, deadline=None)

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from femprob import Mesh1D, ParameterError, build_mesh
+from femprob import ParameterError, build_mesh
 from femprob import mesh as mesh_module
-from femprob.mesh import jittered_nodes
+from femprob.mesh import Mesh1D, jittered_nodes
 
 
 class TestBuildMesh:
@@ -95,11 +95,11 @@ class TestJitteredNodes:
 class TestMesh1DValidation:
     def test_rejects_wrong_span(self):
         with pytest.raises(ParameterError):
-            Mesh1D(nodes=np.array([0.0, 0.5, 0.9]), seed=0, jitter=0.0)
+            Mesh1D(nodes=np.array([0.0, 0.5, 0.9]), seed=0)
 
     def test_rejects_unsorted_nodes(self):
         with pytest.raises(ParameterError):
-            Mesh1D(nodes=np.array([0.0, 0.7, 0.3, 1.0]), seed=0, jitter=0.0)
+            Mesh1D(nodes=np.array([0.0, 0.7, 0.3, 1.0]), seed=0)
 
     def test_gaps_are_read_only(self):
         mesh = build_mesh(5, 0.2, seed=3)
@@ -108,6 +108,6 @@ class TestMesh1DValidation:
             mesh.gaps[0] = 0.5
 
     def test_recomputes_h_max(self):
-        mesh = Mesh1D(nodes=np.array([0.0, 0.1, 0.6, 1.0]), seed=0, jitter=0.4)
+        mesh = Mesh1D(nodes=np.array([0.0, 0.1, 0.6, 1.0]), seed=0)
         assert mesh.h_max == 0.5
         assert mesh.n_elements == 3 and type(mesh.n_elements) is int

@@ -7,17 +7,19 @@ import pytest
 from scipy.integrate import quad
 
 from femprob import (
-    ConditionalIdentityReport,
     ElementPair,
     InsufficientDataError,
-    McEstimate,
     ParameterError,
-    draw_error_samples,
-    conditional_identity_check,
     mc_estimate,
-    numeric_area_oracle,
     prob_sigmoid,
     trapezium_ratio,
+)
+from femprob.oracle import (
+    ConditionalIdentityReport,
+    McEstimate,
+    draw_error_samples,
+    conditional_identity_check,
+    numeric_area_oracle,
 )
 from femprob.rng import derive_key, uniforms
 

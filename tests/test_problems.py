@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from femprob import (
-    ParameterError,
-    Problem1D,
-    UnsupportedProblemError,
-    available_problems,
-    get_problem,
-    seminorm_reference,
-)
+from femprob import ParameterError, Problem1D, UnsupportedProblemError, get_problem
+from femprob.problems import available_problems, seminorm_reference
 
 LIBRARY = ["sine", "sine3", "poly2", "poly3", "poly4"]
 

@@ -10,19 +10,20 @@ from femprob import fem, study
 from femprob import mesh as mesh_module
 from femprob.rng import derive_key
 from femprob import (
-    ConvergenceRecord,
     InsufficientDataError,
     ParameterError,
     Problem1D,
     convergence_study,
-    empirical_superiority,
     assemble_solve,
     build_mesh,
-    estimate_half_crossing,
     fit_constant,
     get_problem,
     h1_error,
-    records_to_csv,
+)
+from femprob.study import (
+    ConvergenceRecord,
+    empirical_superiority,
+    estimate_half_crossing,
     superiority_sweep,
 )
 
@@ -352,6 +353,15 @@ class TestHalfCrossing:
         with pytest.raises(ParameterError):
             estimate_half_crossing([0.1, 0.2], [0.5])
 
+    def test_empty_input(self):
+        with pytest.raises(ParameterError):
+            estimate_half_crossing([], [])
+
+    @pytest.mark.parametrize("bad", [0.0, -0.2, math.inf, math.nan])
+    def test_h_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ParameterError):
+            estimate_half_crossing([0.1, bad, 0.4], [0.9, 0.5, 0.2])
+
     def test_coarse_mesh_noise_adds_no_crossing(self):
         # README compare sweep (sine24, P1/P2, 200 pairs, jitter 0.3) at seed
         # 86264415: p(n=2) lands above 1/2 by chance.  Counting its n=2->3
@@ -376,21 +386,3 @@ class TestHalfCrossing:
         frac = d0 / (d0 - d1)
         expected = math.exp(math.log(0.2) + frac * (math.log(0.4) - math.log(0.2)))
         assert estimate_half_crossing(h, p) == expected
-
-
-class TestRecordCsv:
-    def test_header_and_shape(self):
-        records = convergence_study(SINE, 1, [4, 8], 0.0, 1, seed=0)
-        text = records_to_csv(records)
-        lines = text.strip().split("\n")
-        assert lines[0] == "order,n_elements,h_max,error_h1,error_h1_semi,seed"
-        assert len(lines) == 3
-        first = lines[1].split(",")
-        assert first[0] == "1" and first[1] == "4"
-        assert float(first[2]) == 0.25
-
-    def test_roundtrip_precision(self):
-        records = convergence_study(SINE, 2, [8], 0.3, 1, seed=42)
-        row = records_to_csv(records).strip().split("\n")[1].split(",")
-        assert float(row[2]) == records[0].h_max
-        assert float(row[3]) == records[0].error_h1
