@@ -8,7 +8,11 @@ superiority experiment on real finite-element errors.
 All data goes to the output path (default stdout) as CSV with `#` comment
 headers recording parameters and validation thresholds; diagnostics go to
 stderr.  Reruns with identical flags and seed produce byte-identical files.
-Exit codes: 0 success, 1 a requested validation failed, 2 invalid usage.
+Exit codes: 0 success, 1 a requested validation failed, 2 invalid usage or
+input.  `mc`, `fem` and `compare` return the list of their requested
+validations that failed; the group's `main` prints each as an `error:` line
+and alone decides the exit code.  Every bad flag value is refused by its
+click type or callback, so its `error:` line names the flag.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import click
 import numpy as np
 
 from .errors import FemProbError, InsufficientDataError, ParameterError
+from .fem import MAX_ORDER
 from .laws import ElementPair, prob_sigmoid, prob_two_step, tabulate_curve
 from .oracle import mc_estimate
 from .problems import get_problem
@@ -59,12 +64,13 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     names of the running subcommand (`-` or `_` spelled); click converts and
     checks each value exactly as it would the flag, and an explicit flag
     still wins.  An unknown key, or one given twice, is rejected rather than
-    silently dropped.  The file is read as UTF-8, whatever the locale.
+    silently dropped.  The file is read as UTF-8, whatever the locale, and
+    a leading byte-order mark is skipped.
     """
     if path is None:
         return
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParameterError(f"config file {path!r} is not UTF-8 text: {exc}") from None
     known = {other.name for other in ctx.command.params if other is not param}
@@ -91,15 +97,18 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
 
 def _int_list(ctx: click.Context, param: click.Parameter, text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise click.BadParameter(f"expected a comma-separated integer list: {exc}") from exc
+    if any(value < 1 for value in values):
+        raise click.BadParameter(f"expected integers >= 1, got {text!r}")
+    return values
 
 
 def _orders(ctx: click.Context, param: click.Parameter, text: str) -> list[int]:
     orders = _int_list(ctx, param, text)
-    if not orders or len(set(orders)) < len(orders):
-        raise click.BadParameter(f"expected one or more distinct orders, got {text!r}")
+    if not orders or len(set(orders)) < len(orders) or max(orders) > MAX_ORDER:
+        raise click.BadParameter(f"expected distinct orders in [1, {MAX_ORDER}], got {text!r}")
     return orders
 
 
@@ -154,13 +163,15 @@ def _emit(out: str, lines: list[str], *more: tuple[str, list[str]]) -> None:
 
 
 class _Femprob(click.Group):
-    """The command group and its one error boundary: bad usage, bad input or
-    an unusable file path leaves as one `error:` line and exit 2."""
+    """The command group and its one exit boundary: bad usage, bad input or
+    an unusable file path leaves as one `error:` line and exit 2; each failed
+    validation a command returns leaves as one `error:` line, and any of
+    them as exit 1; otherwise the exit code is 0."""
 
     def main(self, *args, **kwargs):
         kwargs["standalone_mode"] = False
         try:
-            return super().main(*args, **kwargs)
+            failures = super().main(*args, **kwargs)
         except click.exceptions.NoArgsIsHelpError as exc:
             exc.show()  # bare `femprob` prints the group help
             sys.exit(exc.exit_code)
@@ -173,6 +184,11 @@ class _Femprob(click.Group):
             message = exc.format_message()
         except (FemProbError, OSError) as exc:
             message = str(exc)
+        else:
+            # `--help` returns 0 here and `law` returns None: neither failed
+            for failure in failures or []:
+                click.echo(f"error: {failure}", err=True)
+            sys.exit(1 if failures else 0)
         click.echo(f"error: {message}", err=True)
         sys.exit(2)
 
@@ -200,10 +216,10 @@ _jitter = _Finite(0.0, 0.5, max_open=True)  # keeps every jittered mesh ordered
 def _grid_options(points: int):
     """The element pair and the mesh-size grid that `law` and `mc` share."""
     options = (
-        click.option("--ck", type=float, required=True, help="Low-order error constant."),
-        click.option("--k", type=int, required=True, help="Low polynomial order."),
-        click.option("--cm", type=float, required=True, help="High-order error constant."),
-        click.option("--m", type=int, required=True, help="High polynomial order."),
+        click.option("--ck", type=_positive, required=True, help="Low-order error constant."),
+        click.option("--k", type=_count, required=True, help="Low polynomial order."),
+        click.option("--cm", type=_positive, required=True, help="High-order error constant."),
+        click.option("--m", type=_count, required=True, help="High polynomial order."),
         click.option("--h-min", type=_positive, required=True),
         click.option("--h-max", type=_positive, required=True),
         click.option("--points", type=_count, default=points),
@@ -278,9 +294,7 @@ def mc(ck, k, cm, m, h_min, h_max, points, spacing, trials, sigma_factor, valida
             f"{_fmt(estimate.std_error)},{str(within).lower()}"
         )
     _emit(out, lines)
-    if validate and not all_within:
-        click.echo("error: Monte Carlo estimates left the sigma band", err=True)
-        sys.exit(1)
+    return ["Monte Carlo estimates left the sigma band"] if validate and not all_within else []
 
 
 @main.command()
@@ -331,13 +345,13 @@ def fem(problem, orders, n_list, jitter, trials, fix_rate, fit_out, validate_rat
         except InsufficientDataError as exc:
             fit_lines.append(f"# order {order}: fit refused: {exc}")
             click.echo(f"order {order}: fit refused: {exc}", err=True)
-            rates_ok &= not validate_rates
+            rates_ok = False
             continue
         fit_lines.append(
             f"{order},{_fmt(fitted.constant)},{_fmt(fitted.rate)},{_fmt(fitted.residual)}"
         )
         if not fitted.rate_consistent(rate_window):
-            rates_ok &= not validate_rates
+            rates_ok = False
             click.echo(
                 f"order {order}: fitted rate {fitted.rate:.4f} outside"
                 f" [{order - rate_window:.2f}, {order + rate_window:.2f}]",
@@ -350,15 +364,13 @@ def fem(problem, orders, n_list, jitter, trials, fix_rate, fit_out, validate_rat
         _emit(out, record_lines + fit_lines)
     else:
         _emit(out, record_lines, (fit_out, fit_lines))
-    if validate_rates and not rates_ok:
-        click.echo("error: fitted rates failed validation", err=True)
-        sys.exit(1)
+    return ["fitted rates failed validation"] if validate_rates and not rates_ok else []
 
 
 @main.command()
 @_problem_option
-@click.option("--order-low", type=int, default=1)
-@click.option("--order-high", type=int, default=2)
+@click.option("--order-low", type=click.IntRange(1, MAX_ORDER), default=1)
+@click.option("--order-high", type=click.IntRange(1, MAX_ORDER), default=2)
 @click.option("--n-list", default="2,3,4,6,8,12,16,24,32,48,64", callback=_int_list,
               help="Comma-separated element counts.")
 @click.option("--jitter", type=_jitter, default=0.3)
@@ -416,26 +428,15 @@ def compare(problem, order_low, order_high, n_list, jitter, trials, validate_cro
         + (f"{crossing:.6g}" if crossing is not None else "not observed"),
         err=True,
     )
+    failures = []
     if validate_crossing:
-        ok = crossing is not None
-        if ok:
-            ratio = max(crossing / pair.h_star, pair.h_star / crossing)
-            ok = ratio <= crossing_factor
-            if not ok:
-                click.echo(
-                    f"error: crossing/h* ratio {ratio:.3f} exceeds {crossing_factor:g}",
-                    err=True,
-                )
-        else:
-            click.echo("error: the sweep never crossed 1/2", err=True)
+        if crossing is None:
+            failures.append("the sweep never crossed 1/2")
+        elif (ratio := max(crossing / pair.h_star, pair.h_star / crossing)) > crossing_factor:
+            failures.append(f"crossing/h* ratio {ratio:.3f} exceeds {crossing_factor:g}")
         if p_hats[-1] < min_final_p:
-            ok = False
-            click.echo(
-                f"error: finest-mesh frequency {p_hats[-1]:.3f} below {min_final_p:g}",
-                err=True,
-            )
-        if not ok:
-            sys.exit(1)
+            failures.append(f"finest-mesh frequency {p_hats[-1]:.3f} below {min_final_p:g}")
+    return failures
 
 
 if __name__ == "__main__":

@@ -1,4 +1,13 @@
-"""Exception hierarchy shared by all femprob modules."""
+"""Exception hierarchy shared by all femprob modules, and the checks that
+raise `ParameterError` for a count or a positive size.
+
+`_checked_count` and `_checked_positive` are the one rule for every count
+(element orders, element counts, trial counts, grid sizes) and every
+positive size (mesh size h, error constants) the library takes.
+"""
+
+import math
+import operator
 
 
 class FemProbError(Exception):
@@ -18,3 +27,27 @@ class UnsupportedProblemError(FemProbError, KeyError):
 
     # KeyError's str() is the repr of its key; this error carries a message
     __str__ = Exception.__str__
+
+
+def _checked_count(value, name: str, minimum: int = 1) -> int:
+    """`value` as an int of at least `minimum`; floats, strings and bools are refused."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _checked_positive(value, name: str) -> float:
+    """`value` as a float that is finite and > 0."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number) or number <= 0.0:
+        raise ParameterError(f"{name} must be positive and finite, got {number!r}")
+    return number

@@ -36,8 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError
-from .laws import _checked_order
+from .errors import ParameterError, _checked_count
 from .mesh import Mesh1D
 from .problems import Problem1D
 
@@ -101,7 +100,7 @@ class FemSolution:
 
 def _fem_order(order) -> int:
     """An element order this module supports: an integer in [1, MAX_ORDER]."""
-    k = _checked_order(order)
+    k = _checked_count(order, "order")
     if k > MAX_ORDER:
         raise ParameterError(f"order must lie in [1, {MAX_ORDER}], got {k}")
     return k

@@ -22,10 +22,9 @@ two bounds" collapses the law to a two-step indicator (1 below h_star,
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
-from .errors import ParameterError
+from .errors import ParameterError, _checked_count, _checked_positive
 
 __all__ = [
     "ErrorLaw",
@@ -38,31 +37,8 @@ __all__ = [
 ]
 
 
-def _checked_order(order) -> int:
-    """An element order: an integer >= 1, not a bool."""
-    try:
-        if isinstance(order, bool):
-            raise TypeError
-        order = operator.index(order)
-    except TypeError:
-        raise ParameterError(f"order must be an integer, got {order!r}") from None
-    if order < 1:
-        raise ParameterError(f"order must be >= 1, got {order}")
-    return order
-
-
-def _checked_constant(constant) -> float:
-    constant = float(constant)
-    if not math.isfinite(constant) or constant <= 0.0:
-        raise ParameterError(f"constant must be positive and finite, got {constant!r}")
-    return constant
-
-
 def _checked_h(h) -> float:
-    h = float(h)
-    if not math.isfinite(h) or h <= 0.0:
-        raise ParameterError(f"mesh size h must be positive and finite, got {h!r}")
-    return h
+    return _checked_positive(h, "mesh size h")
 
 
 @dataclass(frozen=True)
@@ -78,8 +54,8 @@ class ErrorLaw:
     constant: float
 
     def __post_init__(self):
-        object.__setattr__(self, "order", _checked_order(self.order))
-        object.__setattr__(self, "constant", _checked_constant(self.constant))
+        object.__setattr__(self, "order", _checked_count(self.order, "order"))
+        object.__setattr__(self, "constant", _checked_positive(self.constant, "constant"))
 
     def bound(self, h: float) -> float:
         """Value of the bound curve at mesh size h; it must be finite."""

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _checked_count
 from .rng import _BLOCK, derive_key, uniforms
 
 __all__ = ["Mesh1D", "build_mesh", "jittered_nodes"]
@@ -56,8 +56,7 @@ def jittered_nodes(n_elements: int, jitter: float, seeds: np.ndarray) -> np.ndar
     values (one mesh per chunk when a mesh alone has more), so the
     temporaries stay in L2 cache however many meshes there are.
     """
-    if n_elements < 1:
-        raise ParameterError(f"n_elements must be >= 1, got {n_elements}")
+    n_elements = _checked_count(n_elements, "n_elements")
     if not 0.0 <= jitter < 0.5:
         raise ParameterError(f"jitter must lie in [0, 0.5), got {jitter!r}")
     nodes = np.empty((len(seeds), n_elements + 1))

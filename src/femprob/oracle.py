@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParameterError
+from .errors import InsufficientDataError, ParameterError, _checked_count
 from .laws import ElementPair, _checked_h
 from .rng import _BLOCK, derive_key, uniforms
 
@@ -60,8 +60,7 @@ class McEstimate:
     std_error: float = field(init=False)
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise ParameterError("n_trials must be >= 1")
+        _checked_count(self.n_trials, "n_trials")
         if not 0.0 <= self.p_hat <= 1.0:
             raise ParameterError("p_hat must lie in [0, 1]")
         object.__setattr__(
@@ -95,8 +94,7 @@ def draw_error_samples(
     pair: ElementPair, h: float, n_trials: int, seed: int, offset: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized draws (x_low, x_high) for trials offset..offset+n_trials-1."""
-    if n_trials < 1:
-        raise ParameterError("n_trials must be >= 1")
+    n_trials = _checked_count(n_trials, "n_trials")
     top_low, top_high = _intervals(pair, h)
     x_low = uniforms(derive_key(seed, _STREAM_LOW), n_trials, offset) * top_low
     x_high = uniforms(derive_key(seed, _STREAM_HIGH), n_trials, offset) * top_high
@@ -162,16 +160,13 @@ def mc_estimate(
     results.  Ties count as a win for the high-order family, matching the
     non-strict event definition.
     """
-    if n_trials < 1:
-        raise ParameterError("n_trials must be >= 1")
-    if chunk_size is not None and chunk_size < 1:
-        raise ParameterError("chunk_size must be >= 1 when given")
+    n_trials = _checked_count(n_trials, "n_trials")
+    step = _BLOCK if chunk_size is None else _checked_count(chunk_size, "chunk_size")
     top_low, top_high = _intervals(pair, h)
     streams = (
         (derive_key(seed, _STREAM_LOW), top_low),
         (derive_key(seed, _STREAM_HIGH), top_high),
     )
-    step = chunk_size or _BLOCK
     wins = np.empty(min(step, n_trials), dtype=bool)
     hits = 0
     for x_low, x_high in _scaled_blocks(n_trials, step, *streams):
@@ -198,8 +193,7 @@ def conditional_identity_check(
         raise ParameterError(
             f"the identity is stated for h < h_star ({pair.h_star!r}), got {h!r}"
         )
-    if n_trials < 1:
-        raise ParameterError("n_trials must be >= 1")
+    n_trials = _checked_count(n_trials, "n_trials")
     prob_win = mc_estimate(pair, h, n_trials, derive_key(seed, _STREAM_WIN)).p_hat
     top_low, top_high = _intervals(pair, h)
     band, conditional = (derive_key(seed, tag) for tag in (_STREAM_BAND, _STREAM_CONDITIONAL))
@@ -249,8 +243,7 @@ def numeric_area_oracle(pair: ElementPair, h: float, grid_n: int) -> float:
     the midpoint-rule sum exactly in O(n log n).
     """
     h = _checked_h(h)
-    if grid_n < 2:
-        raise ParameterError(f"grid_n must be >= 2, got {grid_n}")
+    grid_n = _checked_count(grid_n, "grid_n", minimum=2)
     top_low, top_high = _intervals(pair, h)
     centers = (np.arange(grid_n) + 0.5) / grid_n
     x_high = centers * top_high

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParameterError
+from .errors import InsufficientDataError, ParameterError, _checked_count
 from .fem import _trials_per_block, assemble_solve, h1_errors
 from .mesh import Mesh1D, build_mesh, jittered_nodes
 from .oracle import McEstimate
@@ -80,11 +80,13 @@ class FittedLaw:
         return abs(self.rate - self.order) <= window
 
 
-def _checked_n_list(n_list: Sequence[int]) -> None:
+def _checked_n_list(n_list: Sequence[int]) -> list[int]:
+    n_list = [_checked_count(n, f"n_list[{i}]") for i, n in enumerate(n_list)]
     if not n_list:
         raise ParameterError("n_list must be non-empty")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ParameterError("n_list must be strictly increasing")
+    return n_list
 
 
 def _rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -137,9 +139,8 @@ def convergence_study(
     Per-trial seeds are derived from (seed, n, trial), so the record list
     is reproducible and independent of evaluation order.
     """
-    _checked_n_list(n_list)
-    if trials_per_n < 1:
-        raise ParameterError("trials_per_n must be >= 1")
+    n_list = _checked_n_list(n_list)
+    trials_per_n = _checked_count(trials_per_n, "trials_per_n")
     records = []
     for n in n_list:
         meshes = (
@@ -217,13 +218,12 @@ def superiority_sweep(
     solved on its own; the H1 errors of a block of them come from one
     `fem.h1_errors` call, equal bit for bit to `h1_error` of each solve.
     """
-    _checked_n_list(n_list)
+    n_list = _checked_n_list(n_list)
     if order_low >= order_high:
         raise ParameterError(
             f"order_low must be < order_high, got {order_low} >= {order_high}"
         )
-    if trials < 1:
-        raise ParameterError("trials must be >= 1")
+    trials = _checked_count(trials, "trials")
     trial_index = np.arange(trials, dtype=np.uint64)
     points = []
     records = []
@@ -308,9 +308,12 @@ def estimate_half_crossing(
     h = np.asarray(h_values, dtype=np.float64)
     if h.size == 0 or not ((h > 0.0) & (h < math.inf)).all():
         raise ParameterError("h_values must be non-empty, positive and finite")
+    p = np.asarray(p_values, dtype=np.float64)
+    if not ((p >= 0.0) & (p <= 1.0)).all():
+        raise ParameterError("p_values must be finite and lie in [0, 1]")
     order = np.argsort(h)
     h = h[order]
-    p = _non_increasing_fit(np.asarray(p_values, dtype=np.float64)[order])
+    p = _non_increasing_fit(p[order])
     crossings = []
     for i in range(len(h) - 1):
         d0, d1 = p[i] - 0.5, p[i + 1] - 0.5

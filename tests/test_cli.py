@@ -283,6 +283,16 @@ class TestConfigFile:
         run_cli("mc", "--config", config)
         assert data_rows((tmp_path / "mc.csv").read_text())[0].startswith("0.5,0.5,")
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # as some editors write UTF-8
+        text = "ck=1\nk=1\ncm=2\nm=2\nh_min=0.1\nh_max=1\npoints=5\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want = run_cli("law", "--config", plain).stdout
+        assert run_cli("law", "--config", marked).stdout == want
+
     def test_missing_required_parameter(self):
         result = run_cli("law", "--ck", 1, "--k", 1, "--cm", 2, expect=2)
         assert "missing required parameter --m" in result.stderr
@@ -401,6 +411,46 @@ class TestUsageErrors:
         result = run_cli(command, *PAIR, "--h-min", 0.1, "--h-max", 1, *trials,
                          flag, value, expect=2)
         assert flag in error_line(result)
+
+
+    @pytest.mark.parametrize("args, flag", [
+        ([*LAW, "--ck", -1], "--ck"),
+        ([*LAW, "--cm", 0], "--cm"),
+        ([*LAW, "--k", 0], "--k"),
+        ([*MC_ONE_POINT, "--m", 0], "--m"),
+        ([*COMPARE_SMALL, "--order-low", 0], "--order-low"),
+        ([*COMPARE_SMALL, "--order-high", 11], "--order-high"),
+        ([*FEM_SMALL, "--n-list", "0,4,8"], "--n-list"),
+        ([*COMPARE_SMALL, "--n-list", "-2,4"], "--n-list"),
+        ([*FEM_SMALL, "--orders", "1,11"], "--orders"),
+    ])
+    def test_bad_value_names_its_flag(self, args, flag):
+        assert f"'{flag}'" in error_line(run_cli(*args, expect=2))
+
+
+class TestValidationFailures:
+    @pytest.mark.parametrize("command, args, failures", [
+        # seed 4 puts one of these six points outside the 3-sigma band
+        (cli.mc, [*PAIR, "--h-min", 0.1, "--h-max", 1.5, "--points", 6, "--trials", 150,
+                  "--seed", 4],
+         ["Monte Carlo estimates left the sigma band"]),
+        (cli.fem, ["--problem", "poly2", "--orders", 2, "--n-list", "4,8,16",
+                   "--validate-rates"],
+         ["fitted rates failed validation"]),
+        (cli.compare, ["--problem", "sine24", "--n-list", "2,3,4,6,8", "--trials", 20,
+                       "--validate-crossing", "--crossing-factor", 1, "--seed", 2026],
+         ["crossing/h* ratio 1.066 exceeds 1", "finest-mesh frequency 0.900 below 0.95"]),
+    ])
+    def test_command_returns_its_failures_and_exits_1(self, tmp_path, command, args,
+                                                       failures):
+        args = [*map(str, args), "--out", str(tmp_path / "out.csv")]
+        lines = run_cli(command.name, *args, expect=1).stderr.splitlines()
+        # one `error:` line per failure, in order, after every other diagnostic
+        assert [line for line in lines if line.startswith("error: ")] == [
+            f"error: {failure}" for failure in failures
+        ]
+        assert lines[-len(failures):] == [f"error: {failure}" for failure in failures]
+        assert command.main(args, standalone_mode=False) == failures
 
 
 class TestAtomicOutput:

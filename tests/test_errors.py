@@ -1,0 +1,102 @@
+"""The failure contract of the library: every count argument is an integer
+of at least its minimum, every size is a finite float > 0, and anything
+else is a ParameterError that names the argument."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from femprob import (
+    ParameterError,
+    assemble_solve,
+    build_mesh,
+    convergence_study,
+    get_problem,
+    mc_estimate,
+    prob_sigmoid,
+    trapezium_ratio,
+)
+from femprob.laws import (
+    ElementPair,
+    ErrorLaw,
+    prob_sigmoid_complement,
+    prob_two_step,
+    tabulate_curve,
+)
+from femprob.mesh import jittered_nodes
+from femprob.oracle import (
+    McEstimate,
+    conditional_identity_check,
+    draw_error_samples,
+    numeric_area_oracle,
+)
+from femprob.study import superiority_sweep
+
+PAIR = ElementPair.from_constants(1.0, 1, 2.0, 2)  # crossover at 0.5
+SINE = get_problem("sine")
+MESH = build_mesh(4, 0.0, 0)
+SEEDS = np.zeros(2, dtype=np.uint64)
+
+# test id: (the argument named in the error, a call passing the value there)
+COUNTS = {
+    "ErrorLaw": ("order", lambda v: ErrorLaw(v, 1.0)),
+    "from_constants": ("order", lambda v: ElementPair.from_constants(1.0, 1, 2.0, v)),
+    "assemble_solve": ("order", lambda v: assemble_solve(MESH, v, SINE)),
+    "jittered_nodes": ("n_elements", lambda v: jittered_nodes(v, 0.3, SEEDS)),
+    "build_mesh": ("n_elements", lambda v: build_mesh(v, 0.3, 0)),
+    "McEstimate": ("n_trials", lambda v: McEstimate(0.5, v, 0)),
+    "draw_error_samples": ("n_trials", lambda v: draw_error_samples(PAIR, 0.25, v, 0)),
+    "mc_estimate": ("n_trials", lambda v: mc_estimate(PAIR, 0.25, v, 0)),
+    "mc_estimate_chunk": ("chunk_size", lambda v: mc_estimate(PAIR, 0.25, 10, 0, chunk_size=v)),
+    "conditional_identity_check": (
+        "n_trials", lambda v: conditional_identity_check(PAIR, 0.25, v, 0)
+    ),
+    "numeric_area_oracle": ("grid_n", lambda v: numeric_area_oracle(PAIR, 0.25, v)),
+    "convergence_study": ("trials_per_n", lambda v: convergence_study(SINE, 1, [4], 0.0, v, 0)),
+    "convergence_study_n_list": (
+        "n_list[1]", lambda v: convergence_study(SINE, 1, [2, v], 0.0, 1, 0)
+    ),
+    "superiority_sweep": ("trials", lambda v: superiority_sweep(SINE, 1, 2, [4], v, 0.0, 0)),
+    "superiority_sweep_n_list": (
+        "n_list[0]", lambda v: superiority_sweep(SINE, 1, 2, [v], 1, 0.0, 0)
+    ),
+}
+
+SIZES = {
+    "ErrorLaw": ("constant", lambda v: ErrorLaw(1, v)),
+    "from_constants": ("constant", lambda v: ElementPair.from_constants(v, 1, 2.0, 2)),
+    "bound": ("mesh size h", lambda v: ErrorLaw(1, 1.0).bound(v)),
+    "prob_two_step": ("mesh size h", lambda v: prob_two_step(PAIR, v)),
+    "prob_sigmoid": ("mesh size h", lambda v: prob_sigmoid(PAIR, v)),
+    "prob_sigmoid_complement": ("mesh size h", lambda v: prob_sigmoid_complement(PAIR, v)),
+    "tabulate_curve": ("mesh size h", lambda v: tabulate_curve(PAIR, [0.1, v], prob_sigmoid)),
+    "trapezium_ratio": ("mesh size h", lambda v: trapezium_ratio(PAIR, v)),
+    "numeric_area_oracle": ("mesh size h", lambda v: numeric_area_oracle(PAIR, v, 10)),
+    "draw_error_samples": ("mesh size h", lambda v: draw_error_samples(PAIR, v, 10, 0)),
+    "mc_estimate": ("mesh size h", lambda v: mc_estimate(PAIR, v, 10, 0)),
+    "conditional_identity_check": (
+        "mesh size h", lambda v: conditional_identity_check(PAIR, v, 10, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [0, 2.5, True, "3"])
+@pytest.mark.parametrize("name, call", COUNTS.values(), ids=COUNTS)
+def test_count_must_be_an_integer_of_at_least_one(name, call, value):
+    with pytest.raises(ParameterError, match=re.escape(name)):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [None, "x", math.nan, -1.0])
+@pytest.mark.parametrize("name, call", SIZES.values(), ids=SIZES)
+def test_size_must_be_positive_and_finite(name, call, value):
+    with pytest.raises(ParameterError, match=re.escape(name)):
+        call(value)
+
+
+def test_numpy_integers_are_counts():
+    as_lists = convergence_study(SINE, 1, [4, 8], 0.3, 2, seed=5)
+    as_arrays = convergence_study(SINE, 1, np.array([4, 8]), 0.3, np.int64(2), seed=5)
+    assert as_arrays == as_lists

@@ -219,8 +219,8 @@ class TestConditionalIdentity:
 class TestBlockMemory:
     # numpy reports its buffers to tracemalloc.  Each stream draws every block
     # into one 256 KiB buffer, next to one block of counters: the peaks read
-    # 0.85 MiB (two streams) and 1.63 MiB (five), and a fresh array per block
-    # and stream, which the bounds catch, reads 1.32 and 2.88 MiB
+    # 0.85 MiB (two streams) and 1.13 MiB (three), and a fresh array per block
+    # and stream, which the bounds catch, reads 1.85 and 2.63 MiB
     @pytest.mark.parametrize(
         "check, mib", [(mc_estimate, 1.0), (conditional_identity_check, 2.0)]
     )

@@ -362,6 +362,11 @@ class TestHalfCrossing:
         with pytest.raises(ParameterError):
             estimate_half_crossing([0.1, bad, 0.4], [0.9, 0.5, 0.2])
 
+    @pytest.mark.parametrize("bad", [math.nan, 1.5, -3.0, math.inf])
+    def test_p_must_be_a_frequency(self, bad):
+        with pytest.raises(ParameterError, match="p_values"):
+            estimate_half_crossing([0.1, 0.2, 0.4], [0.9, bad, 0.2])
+
     def test_coarse_mesh_noise_adds_no_crossing(self):
         # README compare sweep (sine24, P1/P2, 200 pairs, jitter 0.3) at seed
         # 86264415: p(n=2) lands above 1/2 by chance.  Counting its n=2->3
