@@ -7,7 +7,10 @@ superiority experiment on real finite-element errors.
 
 All data goes to the output path (default stdout) as CSV with `#` comment
 headers recording parameters and validation thresholds; diagnostics go to
-stderr.  Reruns with identical flags and seed produce byte-identical files.
+stderr.  `_cell` is the one rule that formats a value of those files,
+`_row` builds every data row from it and `_params` every `# key=value`
+header line.  Reruns with identical flags and seed produce byte-identical
+files.
 Exit codes: 0 success, 1 a requested validation failed, 2 invalid usage or
 input.  `mc`, `fem` and `compare` return the list of their requested
 validations that failed; the group's `main` prints each as an `error:` line
@@ -34,15 +37,34 @@ from .rng import derive_key
 from .study import convergence_study, estimate_half_crossing, fit_constant, superiority_sweep
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(value) -> str:
+    """One CSV value as every file of this command writes it: a flag as
+    `true` or `false`, a float with full float64 precision (`%.17g`), a list
+    as its cells joined by commas, a missing value as `none`, anything else
+    as `str`."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    if isinstance(value, list):
+        return ",".join(map(_cell, value))
+    return "none" if value is None else str(value)
+
+
+def _row(*values) -> str:
+    """A CSV data row of these values."""
+    return ",".join(map(_cell, values))
+
+
+def _params(**values) -> str:
+    """A `# key=value ...` header line of these parameters."""
+    return "# " + " ".join(f"{key}={_cell(value)}" for key, value in values.items())
 
 
 def _record_lines(records) -> list[str]:
     """Convergence records as CSV lines under their header."""
     return ["order,n_elements,h_max,error_h1,error_h1_semi,seed"] + [
-        f"{r.order},{r.n_elements},{_fmt(r.h_max)},{_fmt(r.error_h1)},"
-        f"{_fmt(r.error_h1_semi)},{r.seed}"
+        _row(r.order, r.n_elements, r.h_max, r.error_h1, r.error_h1_semi, r.seed)
         for r in records
     ]
 
@@ -110,6 +132,13 @@ def _orders(ctx: click.Context, param: click.Parameter, text: str) -> list[int]:
     if not orders or len(set(orders)) < len(orders) or max(orders) > MAX_ORDER:
         raise click.BadParameter(f"expected distinct orders in [1, {MAX_ORDER}], got {text!r}")
     return orders
+
+
+def _n_list(ctx: click.Context, param: click.Parameter, text: str) -> list[int]:
+    n_list = _int_list(ctx, param, text)
+    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise click.BadParameter(f"expected strictly increasing element counts, got {text!r}")
+    return n_list
 
 
 def _h_grid(h_min: float, h_max: float, points: int, spacing: str) -> np.ndarray:
@@ -244,16 +273,13 @@ def law(ck, k, cm, m, h_min, h_max, points, spacing, out):
     grid = _h_grid(h_min, h_max, points, spacing)
     step = tabulate_curve(pair, grid, prob_two_step)
     smooth = tabulate_curve(pair, grid, prob_sigmoid)
-    lines = [
+    _emit(out, [
         "# femprob law",
-        f"# ck={_fmt(pair.low.constant)} k={pair.low.order}"
-        f" cm={_fmt(pair.high.constant)} m={pair.high.order}",
-        f"# h_star={_fmt(pair.h_star)}",
+        _params(ck=ck, k=k, cm=cm, m=m),
+        _params(h_star=pair.h_star),
         "h,p_two_step,p_sigmoid",
-    ]
-    for h, p_step, p_sig in zip(grid, step, smooth):
-        lines.append(f"{_fmt(h)},{_fmt(p_step)},{_fmt(p_sig)}")
-    _emit(out, lines)
+        *map(_row, grid, step, smooth),
+    ])
 
 
 @main.command()
@@ -276,10 +302,8 @@ def mc(ck, k, cm, m, h_min, h_max, points, spacing, trials, sigma_factor, valida
     grid = _h_grid(h_min, h_max, points, spacing)
     lines = [
         "# femprob mc",
-        f"# ck={_fmt(pair.low.constant)} k={pair.low.order}"
-        f" cm={_fmt(pair.high.constant)} m={pair.high.order}",
-        f"# trials={trials} seed={seed} sigma_factor={_fmt(sigma_factor)}"
-        f" validate={str(validate).lower()}",
+        _params(ck=ck, k=k, cm=cm, m=m),
+        _params(trials=trials, seed=seed, sigma_factor=sigma_factor, validate=validate),
         "h,p_analytic,p_hat,std_error,within_3sigma",
     ]
     all_within = True
@@ -289,10 +313,7 @@ def mc(ck, k, cm, m, h_min, h_max, points, spacing, trials, sigma_factor, valida
         band = sigma_factor * np.sqrt(p * (1.0 - p) / trials)
         within = abs(estimate.p_hat - p) <= band
         all_within &= within
-        lines.append(
-            f"{_fmt(h)},{_fmt(p)},{_fmt(estimate.p_hat)},"
-            f"{_fmt(estimate.std_error)},{str(within).lower()}"
-        )
+        lines.append(_row(h, p, estimate.p_hat, estimate.std_error, within))
     _emit(out, lines)
     return ["Monte Carlo estimates left the sigma band"] if validate and not all_within else []
 
@@ -301,7 +322,7 @@ def mc(ck, k, cm, m, h_min, h_max, points, spacing, trials, sigma_factor, valida
 @_problem_option
 @click.option("--orders", default="1,2,3", callback=_orders,
               help="Comma-separated element orders.")
-@click.option("--n-list", default="8,16,32,64,128,256,512", callback=_int_list,
+@click.option("--n-list", default="8,16,32,64,128,256,512", callback=_n_list,
               help="Comma-separated element counts.")
 @click.option("--jitter", type=_jitter, default=0.0)
 @click.option("--trials", type=_count, default=1, help="Meshes per element count.")
@@ -324,18 +345,16 @@ def fem(problem, orders, n_list, jitter, trials, fix_rate, fit_out, validate_rat
     for order in orders:
         records.extend(convergence_study(problem, order, n_list, jitter, trials, seed))
 
-    head = [
+    record_lines = [
         "# femprob fem",
-        f"# problem={problem.name} orders={','.join(map(str, orders))}"
-        f" n_list={','.join(map(str, n_list))}",
-        f"# jitter={_fmt(jitter)} trials={trials} seed={seed}"
-        f" fix_rate={str(fix_rate).lower()}",
+        _params(problem=problem.name, orders=orders, n_list=n_list),
+        _params(jitter=jitter, trials=trials, seed=seed, fix_rate=fix_rate),
+        *_record_lines(records),
     ]
-    record_lines = head + _record_lines(records)
 
     fit_lines = [
         "# femprob fem fits",
-        f"# rate_window={_fmt(rate_window)} validate_rates={str(validate_rates).lower()}",
+        _params(rate_window=rate_window, validate_rates=validate_rates),
         "order,constant,rate,residual",
     ]
     rates_ok = True
@@ -347,9 +366,7 @@ def fem(problem, orders, n_list, jitter, trials, fix_rate, fit_out, validate_rat
             click.echo(f"order {order}: fit refused: {exc}", err=True)
             rates_ok = False
             continue
-        fit_lines.append(
-            f"{order},{_fmt(fitted.constant)},{_fmt(fitted.rate)},{_fmt(fitted.residual)}"
-        )
+        fit_lines.append(_row(order, fitted.constant, fitted.rate, fitted.residual))
         if not fitted.rate_consistent(rate_window):
             rates_ok = False
             click.echo(
@@ -371,7 +388,7 @@ def fem(problem, orders, n_list, jitter, trials, fix_rate, fit_out, validate_rat
 @_problem_option
 @click.option("--order-low", type=click.IntRange(1, MAX_ORDER), default=1)
 @click.option("--order-high", type=click.IntRange(1, MAX_ORDER), default=2)
-@click.option("--n-list", default="2,3,4,6,8,12,16,24,32,48,64", callback=_int_list,
+@click.option("--n-list", default="2,3,4,6,8,12,16,24,32,48,64", callback=_n_list,
               help="Comma-separated element counts.")
 @click.option("--jitter", type=_jitter, default=0.3)
 @click.option("--trials", type=_count, default=100, help="Mesh pairs per element count.")
@@ -404,23 +421,20 @@ def compare(problem, order_low, order_high, n_list, jitter, trials, validate_cro
 
     lines = [
         "# femprob compare",
-        f"# problem={problem.name} order_low={order_low} order_high={order_high}",
-        f"# n_list={','.join(map(str, n_list))} trials={trials}"
-        f" jitter={_fmt(jitter)} seed={seed}",
-        f"# c_low_fitted={_fmt(fitted_low.constant)}"
-        f" c_high_fitted={_fmt(fitted_high.constant)}",
-        f"# h_star_fitted={_fmt(pair.h_star)}",
-        f"# h_crossing_empirical={_fmt(crossing) if crossing is not None else 'none'}",
-        f"# crossing_factor={_fmt(crossing_factor)} min_final_p={_fmt(min_final_p)}"
-        f" validate={str(validate_crossing).lower()}",
+        _params(problem=problem.name, order_low=order_low, order_high=order_high),
+        _params(n_list=n_list, trials=trials, jitter=jitter, seed=seed),
+        _params(c_low_fitted=fitted_low.constant, c_high_fitted=fitted_high.constant),
+        _params(h_star_fitted=pair.h_star),
+        _params(h_crossing_empirical=crossing),
+        _params(crossing_factor=crossing_factor, min_final_p=min_final_p,
+                validate=validate_crossing),
         "n,h_mean,p_hat,std_error,p_model",
     ]
-    for point in points:
-        model = prob_sigmoid(pair, point.h_mean)
-        lines.append(
-            f"{point.n_elements},{_fmt(point.h_mean)},{_fmt(point.estimate.p_hat)},"
-            f"{_fmt(point.estimate.std_error)},{_fmt(model)}"
-        )
+    lines.extend(
+        _row(point.n_elements, point.h_mean, point.estimate.p_hat, point.estimate.std_error,
+             prob_sigmoid(pair, point.h_mean))
+        for point in points
+    )
     _emit(out, lines)
 
     click.echo(

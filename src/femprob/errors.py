@@ -1,9 +1,10 @@
 """Exception hierarchy shared by all femprob modules, and the checks that
-raise `ParameterError` for a count or a positive size.
+raise `ParameterError` for a count, a number or a positive size.
 
 `_checked_count` and `_checked_positive` are the one rule for every count
-(element orders, element counts, trial counts, grid sizes) and every
-positive size (mesh size h, error constants) the library takes.
+(element orders, element counts, trial counts, grid sizes, seminorm orders)
+and every positive size (mesh size h, error constants) the library takes;
+`_checked_number` is the rule for any other number (a jitter).
 """
 
 import math
@@ -42,12 +43,17 @@ def _checked_count(value, name: str, minimum: int = 1) -> int:
     return value
 
 
-def _checked_positive(value, name: str) -> float:
-    """`value` as a float that is finite and > 0."""
+def _checked_number(value, name: str) -> float:
+    """`value` as a float; what `float()` refuses is refused."""
     try:
-        number = float(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"{name} must be a number, got {value!r}") from None
+
+
+def _checked_positive(value, name: str) -> float:
+    """`value` as a float that is finite and > 0."""
+    number = _checked_number(value, name)
     if not math.isfinite(number) or number <= 0.0:
         raise ParameterError(f"{name} must be positive and finite, got {number!r}")
     return number

@@ -11,7 +11,7 @@ well below discretization error across that range (k+3 points for the
 loads; k+5 points for error norms).
 
 `assemble_solve` and `h1_errors` share one block walker, `_blocks`: a
-block holds about `_BLOCK_POINTS` quadrature points, so every per-point
+block holds about `rng._BLOCK` quadrature points, so every per-point
 array stays in L2 cache, and is as many whole meshes as fit or else whole
 elements of one mesh.  `assemble_solve` walks one mesh; `h1_errors`
 integrates the errors of many solves of one order, given as arrays with
@@ -39,6 +39,7 @@ import numpy as np
 from .errors import ParameterError, _checked_count
 from .mesh import Mesh1D
 from .problems import Problem1D
+from .rng import _BLOCK
 
 __all__ = ["FemSolution", "assemble_solve", "h1_error", "h1_errors", "galerkin_residual"]
 
@@ -46,10 +47,6 @@ MAX_ORDER = 10
 
 _ASSEMBLY_EXTRA_POINTS = 3  # ceil((2k+2)/2) + 2 == k + 3 Gauss points
 _ERROR_EXTRA_POINTS = 5  # k + 5 Gauss points for the H1 error integrals
-
-# quadrature points per element block: 2**15 float64 values are 256 KiB per
-# array, so every pass over a block stays in L2 (2**13..2**17 measured)
-_BLOCK_POINTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -145,12 +142,12 @@ def _reference_element(order: int, extra_points: int):
 
 def _meshes_per_block(n_elements: int, points: int) -> int:
     """How many n-element meshes of `points` quadrature points per element one
-    block holds: as many as fit in `_BLOCK_POINTS`, and at least one."""
-    return max(1, _BLOCK_POINTS // max(1, n_elements * points))  # n < 1 is the mesh's to reject
+    block holds: as many as fit in `_BLOCK`, and at least one."""
+    return max(1, _BLOCK // max(1, n_elements * points))  # n < 1 is the mesh's to reject
 
 
 def _blocks(n_trials: int, n_elements: int, points: int):
-    """Yield the (trials, elements) slices of blocks of about `_BLOCK_POINTS` points.
+    """Yield the (trials, elements) slices of blocks of about `_BLOCK` points.
 
     For T meshes of n elements with `points` quadrature points each: whole
     meshes, as many as fit, when one mesh fits; otherwise one mesh at a
@@ -159,7 +156,7 @@ def _blocks(n_trials: int, n_elements: int, points: int):
     """
     meshes = _meshes_per_block(n_elements, points)
     # >= 2184 elements at k + 5 <= 15 points; the slice takes all of a mesh that fits
-    elements = _BLOCK_POINTS // points
+    elements = _BLOCK // points
     for start in range(0, n_trials, meshes):
         for first in range(0, n_elements, elements):
             yield slice(start, start + meshes), slice(first, first + elements)
@@ -186,7 +183,9 @@ def _element_loads(mesh: Mesh1D, k: int, problem: Problem1D) -> np.ndarray:
         x_quad = _points(lengths[block], lefts[block], point_map)
         f_quad = np.asarray(problem.source(x_quad), dtype=np.float64)
         if not np.isfinite(f_quad).all():
-            raise ValueError("source values must not contain infs or NaNs")
+            raise ParameterError(
+                f"problem {problem.name!r}: source values must not contain infs or NaNs"
+            )
         loads[block] = lengths[block, None] * ((f_quad * weights) @ values)
     return loads
 
@@ -217,7 +216,7 @@ def h1_error(solution: FemSolution, problem: Problem1D) -> tuple[float, float]:
     """Full H1 norm and H1 seminorm of the discretization error.
 
     The one-row call of `h1_errors`: its blocks are whole elements of this
-    one mesh, as many as fit in `_BLOCK_POINTS` quadrature points.
+    one mesh, as many as fit in `_BLOCK` quadrature points.
     """
     full, semi = h1_errors(
         solution.order,
@@ -308,7 +307,13 @@ def h1_errors(
 
     l2_sq = (lengths * l2_elements).sum(axis=1)
     semi_sq = (lengths * semi_elements).sum(axis=1)
-    return np.sqrt(l2_sq + semi_sq), np.sqrt(semi_sq)
+    full_sq = l2_sq + semi_sq  # both sums are >= 0, so this is finite iff both are
+    if not np.isfinite(full_sq).all():
+        raise ParameterError(
+            f"problem {problem.name!r}: the H1 error is not finite; its exact"
+            " solution and derivative values must not contain infs or NaNs"
+        )
+    return np.sqrt(full_sq), np.sqrt(semi_sq)
 
 
 def galerkin_residual(solution: FemSolution, problem: Problem1D) -> float:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, _checked_count
+from .errors import ParameterError, _checked_count, _checked_number
 from .rng import _BLOCK, derive_key, uniforms
 
 __all__ = ["Mesh1D", "build_mesh", "jittered_nodes"]
@@ -57,6 +57,7 @@ def jittered_nodes(n_elements: int, jitter: float, seeds: np.ndarray) -> np.ndar
     temporaries stay in L2 cache however many meshes there are.
     """
     n_elements = _checked_count(n_elements, "n_elements")
+    jitter = _checked_number(jitter, "jitter")
     if not 0.0 <= jitter < 0.5:
         raise ParameterError(f"jitter must lie in [0, 0.5), got {jitter!r}")
     nodes = np.empty((len(seeds), n_elements + 1))

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .errors import ParameterError, UnsupportedProblemError
+from .errors import ParameterError, UnsupportedProblemError, _checked_count
 
 __all__ = ["Problem1D", "get_problem", "available_problems", "seminorm_reference"]
 
@@ -61,8 +61,7 @@ class Problem1D:
 
 def seminorm_reference(problem: Problem1D, s: int) -> float:
     """Analytic H^s seminorm of the exact solution, for library problems."""
-    if s < 1:
-        raise ParameterError(f"seminorm order must be >= 1, got {s}")
+    s = _checked_count(s, "seminorm order s")
     if problem.seminorm_fn is None:
         raise UnsupportedProblemError(
             f"problem {problem.name!r} has no registered closed-form seminorms"

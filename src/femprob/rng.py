@@ -44,9 +44,10 @@ _INV_2_53 = 1.0 / (1 << 53)
 _GOLDEN_U64, _MIX_A_U64, _MIX_B_U64 = map(np.uint64, (_GOLDEN, _MIX_A, _MIX_B))
 _U11, _U27, _U30, _U31 = map(np.uint64, (11, 27, 30, 31))
 
-# values per block of the draw, mesh and Monte Carlo loops: 2**15 float64
-# values are 256 KiB per array, so every pass over a block stays in L2
-# (2**13..2**18 measured for the Monte Carlo loops; 2**15 was fastest)
+# values per block of the draw, mesh, Monte Carlo and quadrature loops:
+# 2**15 float64 values are 256 KiB per array, so every pass over a block
+# stays in L2 (2**13..2**18 measured for the Monte Carlo loops and
+# 2**13..2**17 for fem's quadrature points; 2**15 was fastest)
 _BLOCK = 1 << 15
 
 

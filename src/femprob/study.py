@@ -161,6 +161,7 @@ def fit_constant(
     no rate information and are dropped first; refuses to fit when fewer
     than three distinct mesh sizes remain.
     """
+    order = _checked_count(order, "order")
     subset = [r for r in records if r.order == order]
     clean = [r for r in subset if r.error_h1 > _NOISE_FLOOR]
     h = np.array([r.h_max for r in clean])
@@ -219,6 +220,8 @@ def superiority_sweep(
     `fem.h1_errors` call, equal bit for bit to `h1_error` of each solve.
     """
     n_list = _checked_n_list(n_list)
+    order_low = _checked_count(order_low, "order_low")
+    order_high = _checked_count(order_high, "order_high")
     if order_low >= order_high:
         raise ParameterError(
             f"order_low must be < order_high, got {order_low} >= {order_high}"

@@ -1,10 +1,14 @@
 """The public names: every exported name resolves, and the README's Python
-example runs against the code as it stands."""
+example and commands run against the code as it stands."""
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +60,23 @@ def test_readme_python_block_runs():
         assert eval(code, namespace) == float(value), code
         checked += 1
     assert checked >= 3
+
+
+def test_readme_commands_run(tmp_path):
+    # every `femprob ...` line of the "Command line" block, run where its
+    # files may land, exits 0
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```sh\n(.*?)```", section, re.S)
+    commands = [
+        shlex.split(line)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("femprob ")
+    ]
+    assert len(commands) == 4
+    env = {**os.environ, "PYTHONPATH": str(Path(femprob.__file__).parents[1])}
+    for command in commands:
+        result = subprocess.run(
+            [sys.executable, "-m", "femprob.cli", *command[1:]],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, (command, result.stderr)

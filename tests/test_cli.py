@@ -423,6 +423,8 @@ class TestUsageErrors:
         ([*FEM_SMALL, "--n-list", "0,4,8"], "--n-list"),
         ([*COMPARE_SMALL, "--n-list", "-2,4"], "--n-list"),
         ([*FEM_SMALL, "--orders", "1,11"], "--orders"),
+        ([*FEM_SMALL, "--n-list", "8,4"], "--n-list"),
+        ([*COMPARE_SMALL, "--n-list", ""], "--n-list"),
     ])
     def test_bad_value_names_its_flag(self, args, flag):
         assert f"'{flag}'" in error_line(run_cli(*args, expect=2))
@@ -451,6 +453,106 @@ class TestValidationFailures:
         ]
         assert lines[-len(failures):] == [f"error: {failure}" for failure in failures]
         assert command.main(args, standalone_mode=False) == failures
+
+
+class TestCsvFormat:
+    """The bytes every command writes, through the one rule `cli._cell`:
+    flags as true/false, floats as %.17g, lists comma-joined, no value as
+    none.  `law` and `mc` are pure float and integer arithmetic and pinned
+    whole; of `fem` and `compare`, the lines and columns that hold no
+    fitted value are."""
+
+    def test_law_text(self):
+        result = run_cli("law", *PAIR, "--h-min", 0.25, "--h-max", 1, "--points", 4,
+                         "--spacing", "linear")
+        assert result.stdout == (
+            "# femprob law\n"
+            "# ck=1 k=1 cm=2 m=2\n"
+            "# h_star=0.5\n"
+            "h,p_two_step,p_sigmoid\n"
+            "0.25,1,0.75\n"
+            "0.5,0.5,0.5\n"
+            "0.75,0,0.33333333333333331\n"
+            "1,0,0.25\n"
+        )
+
+    def test_mc_text(self):
+        # seed 4 puts the last point outside the band, so both flags show
+        result = run_cli("mc", *PAIR, "--h-min", 0.1, "--h-max", 1.5, "--points", 6,
+                         "--trials", 150, "--seed", 4, expect=1)
+        assert result.stdout == (
+            "# femprob mc\n"
+            "# ck=1 k=1 cm=2 m=2\n"
+            "# trials=150 seed=4 sigma_factor=3 validate=true\n"
+            "h,p_analytic,p_hat,std_error,within_3sigma\n"
+            "0.10000000000000001,0.90000000000000002,0.89333333333333331,"
+            "0.02520435000668058,true\n"
+            "0.17187719275874791,0.82812280724125209,0.84666666666666668,"
+            "0.029419066631718307,true\n"
+            "0.29541769390627776,0.70458230609372219,0.68000000000000005,"
+            "0.038087618285561863,true\n"
+            "0.50775563919874078,0.49236282317712954,0.48666666666666669,"
+            "0.040810310970163917,true\n"
+            "0.8727161387290322,0.28646198793124644,0.35999999999999999,"
+            "0.039191835884530853,true\n"
+            "1.5,0.16666666666666666,0.26666666666666666,0.036106837353937604,false\n"
+        )
+
+    def test_fem_lines_without_fitted_values(self):
+        # poly2 at order 2 sits on the rounding floor, so its fit is refused
+        result = run_cli("fem", "--problem", "poly2", "--orders", "1,2", "--n-list", "4,8,16",
+                         "--jitter", 0.3, "--trials", 2, "--seed", 12, "--validate-rates",
+                         "--rate-window", 0.2, expect=1)
+        lines = result.stdout.splitlines()
+        refused = (
+            "# order 2: fit refused: need >= 3 distinct mesh sizes for order 2 with errors"
+            " above the rounding floor 1e-12, got 0; 6 of 6 records sit at the floor"
+            " (insufficient dynamic range for a power-law fit)"
+        )
+        assert [line for line in lines if not line[0].isdigit()] == [
+            "# femprob fem",
+            "# problem=poly2 orders=1,2 n_list=4,8,16",
+            "# jitter=0.29999999999999999 trials=2 seed=12 fix_rate=false",
+            "order,n_elements,h_max,error_h1,error_h1_semi,seed",
+            "# femprob fem fits",
+            "# rate_window=0.20000000000000001 validate_rates=true",
+            "order,constant,rate,residual",
+            refused,
+        ]
+        # order, n_elements, h_max and seed of each record; the order of each fit
+        h_max = ["0.28863842449521893", "0.37574380427704362", "0.17053470639043522",
+                 "0.16780271886491582", "0.097368622055811704", "0.087495440850736045"]
+        seeds = ["15416673298520035917", "8140838490288915695", "17115044049316938303",
+                 "10236128778833088154", "3245711700458808471", "1215702122884865908"]
+        rows = [line.split(",") for line in lines if line[0].isdigit()]
+        assert [(r[0], r[1], r[2], r[5]) for r in rows[:12]] == [
+            (order, n, h, seed)
+            for order in "12"
+            for n, h, seed in zip(["4", "4", "8", "8", "16", "16"], h_max, seeds)
+        ]
+        assert [r[0] for r in rows[12:]] == ["1"]
+
+    @pytest.mark.parametrize("problem, n_list, seed, crossing", [
+        ("sine24", "2,3,4,6,8", 2026, "0.37709614995959462"),
+        ("sine", "2,4,8", 7, "none"),  # the sine sweep never crosses 1/2
+    ])
+    def test_compare_lines_without_fitted_values(self, problem, n_list, seed, crossing):
+        result = run_cli("compare", "--problem", problem, "--n-list", n_list, "--trials", 20,
+                         "--seed", seed)
+        lines = result.stdout.splitlines()
+        assert lines[:3] == [
+            "# femprob compare",
+            f"# problem={problem} order_low=1 order_high=2",
+            f"# n_list={n_list} trials=20 jitter=0.29999999999999999 seed={seed}",
+        ]
+        assert lines[3].startswith("# c_low_fitted=") and " c_high_fitted=" in lines[3]
+        assert lines[4].startswith("# h_star_fitted=")
+        assert lines[5:8] == [
+            f"# h_crossing_empirical={crossing}",
+            "# crossing_factor=2 min_final_p=0.94999999999999996 validate=false",
+            "n,h_mean,p_hat,std_error,p_model",
+        ]
+        assert [line.split(",")[0] for line in lines[8:]] == n_list.split(",")
 
 
 class TestAtomicOutput:

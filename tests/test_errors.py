@@ -13,6 +13,7 @@ from femprob import (
     assemble_solve,
     build_mesh,
     convergence_study,
+    fit_constant,
     get_problem,
     mc_estimate,
     prob_sigmoid,
@@ -32,6 +33,7 @@ from femprob.oracle import (
     draw_error_samples,
     numeric_area_oracle,
 )
+from femprob.problems import seminorm_reference
 from femprob.study import superiority_sweep
 
 PAIR = ElementPair.from_constants(1.0, 1, 2.0, 2)  # crossover at 0.5
@@ -62,6 +64,14 @@ COUNTS = {
     "superiority_sweep_n_list": (
         "n_list[0]", lambda v: superiority_sweep(SINE, 1, 2, [v], 1, 0.0, 0)
     ),
+    "superiority_sweep_order_low": (
+        "order_low", lambda v: superiority_sweep(SINE, v, 2, [4], 1, 0.0, 0)
+    ),
+    "superiority_sweep_order_high": (
+        "order_high", lambda v: superiority_sweep(SINE, 1, v, [4], 1, 0.0, 0)
+    ),
+    "fit_constant": ("order", lambda v: fit_constant([], v)),
+    "seminorm_reference": ("seminorm order s", lambda v: seminorm_reference(SINE, v)),
 }
 
 SIZES = {
@@ -79,6 +89,9 @@ SIZES = {
     "conditional_identity_check": (
         "mesh size h", lambda v: conditional_identity_check(PAIR, v, 10, 0)
     ),
+    # a jitter may be 0; these four values are refused as a size is
+    "jittered_nodes": ("jitter", lambda v: jittered_nodes(4, v, SEEDS)),
+    "build_mesh": ("jitter", lambda v: build_mesh(4, v, 3)),
 }
 
 

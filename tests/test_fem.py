@@ -1,5 +1,6 @@
 """Solver correctness: containment, nodal exactness, rates, independent references."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from femprob import (
     Problem1D,
     assemble_solve,
     build_mesh,
+    convergence_study,
     fem,
     get_problem,
     h1_error,
@@ -201,8 +203,19 @@ class TestAssembleSolve:
             exact_derivative=SINE.exact_derivative,
             source=lambda x: np.full_like(x, np.nan),
         )
-        with pytest.raises(ValueError, match="infs or NaNs"):
+        with pytest.raises(ParameterError, match="'nan-source': .*infs or NaNs"):
             assemble_solve(build_mesh(6, 0.2, seed=3), 2, nan_source)
+
+    @pytest.mark.parametrize("field", ["exact_solution", "exact_derivative"])
+    def test_nan_exact_value_rejected(self, field):
+        nan_exact = dataclasses.replace(
+            SINE, name="nan-exact", **{field: lambda x: np.full_like(x, np.nan)}
+        )
+        solution = assemble_solve(build_mesh(6, 0.2, seed=3), 2, nan_exact)
+        with pytest.raises(ParameterError, match="'nan-exact'"):
+            h1_error(solution, nan_exact)
+        with pytest.raises(ParameterError, match="'nan-exact'"):
+            convergence_study(nan_exact, 2, [4, 8], 0.2, 2, seed=3)
 
     @pytest.mark.parametrize("order", [1, 2, 4, 7, 10])
     def test_galerkin_residual_small(self, order):
@@ -287,7 +300,7 @@ class TestH1Errors:
         # whole meshes several to a block, part-filled last blocks, and
         # meshes split into element blocks, next to meshes of other jitter
         if block_points is not None:
-            monkeypatch.setattr(fem, "_BLOCK_POINTS", block_points)
+            monkeypatch.setattr(fem, "_BLOCK", block_points)
         problem = get_problem("sine24")
         solutions = [
             assemble_solve(build_mesh(n, jitter, seed), order, problem)
@@ -339,7 +352,7 @@ class TestElementBlocks:
     def test_blocked_equals_one_block(self, order, monkeypatch):
         # three full blocks of the load rule and a ragged fourth; the error
         # rule has more points, so its blocks are smaller and ragged too
-        per_block = fem._BLOCK_POINTS // (order + fem._ASSEMBLY_EXTRA_POINTS)
+        per_block = fem._BLOCK // (order + fem._ASSEMBLY_EXTRA_POINTS)
         n = 3 * per_block + 7
         mesh = build_mesh(n, 0.3, seed=order)
         problem, calls = counting(get_problem("sine24"))
@@ -348,7 +361,7 @@ class TestElementBlocks:
         assert calls["source"] == 4
         assert calls["exact_solution"] == calls["exact_derivative"] >= 4
 
-        monkeypatch.setattr(fem, "_BLOCK_POINTS", 16 * n)
+        monkeypatch.setattr(fem, "_BLOCK", 16 * n)
         whole = assemble_solve(mesh, order, problem)
         assert h1_error(whole, problem) == blocked_errors
         assert calls["source"] == 5
@@ -362,7 +375,7 @@ class TestElementBlocks:
         # each point exactly as the elementwise left + h * t
         point_map = fem._reference_element(order, extra)[0]
         points = point_map[0]
-        for n in (1, 7, 3 * (fem._BLOCK_POINTS // points.size) + 7):
+        for n in (1, 7, 3 * (fem._BLOCK // points.size) + 7):
             mesh = build_mesh(n, 0.3, seed=n + order)
             want = mesh.nodes[:-1, None] + mesh.gaps[:, None] * points
             got = np.concatenate([
@@ -377,13 +390,13 @@ class TestElementBlocks:
         # one element, a mesh of exactly one block, one element above it
         # (an element block plus a lone element), and meshes that leave
         # the last block of trials or of elements part-filled
-        per_block = fem._BLOCK_POINTS // points
+        per_block = fem._BLOCK // points
         for n in (1, 3, per_block, per_block + 1, 2 * per_block + 5):
             cells = np.arange(n_trials * n).reshape(n_trials, n)
             visited = []
             for trials, elements in fem._blocks(n_trials, n, points):
                 block = cells[trials, elements]
-                assert 0 < block.size * points <= fem._BLOCK_POINTS
+                assert 0 < block.size * points <= fem._BLOCK
                 visited.extend(block.ravel().tolist())
             assert visited == list(range(n_trials * n))
 

@@ -259,7 +259,7 @@ class TestErrorBlocks:
         self, orders, jitter, block_points, trials, monkeypatch
     ):
         if block_points is not None:
-            monkeypatch.setattr(fem, "_BLOCK_POINTS", block_points)
+            monkeypatch.setattr(fem, "_BLOCK", block_points)
         n_list = [1, 2, 3, 5, 17, 96]
         want_records, want_wins = per_trial_sweep(SINE24, *orders, n_list, trials, jitter, 7)
         points, records = superiority_sweep(SINE24, *orders, n_list, trials, jitter, seed=7)
@@ -271,7 +271,7 @@ class TestErrorBlocks:
         # n = 2200 at k = 10 is 33,000 error points, two element blocks
         # of the default size and seven of 5000 points
         if block_points is not None:
-            monkeypatch.setattr(fem, "_BLOCK_POINTS", block_points)
+            monkeypatch.setattr(fem, "_BLOCK", block_points)
         want_records, want_wins = per_trial_sweep(SINE24, 1, 10, [2200], 3, 0.3, 2026)
         points, records = superiority_sweep(SINE24, 1, 10, [2200], 3, 0.3, seed=2026)
         assert records == want_records
@@ -284,7 +284,7 @@ class TestErrorBlocks:
         self, order, jitter, block_points, monkeypatch
     ):
         if block_points is not None:
-            monkeypatch.setattr(fem, "_BLOCK_POINTS", block_points)
+            monkeypatch.setattr(fem, "_BLOCK", block_points)
         n_list = [1, 2, 3, 5, 17, 96]
         want = per_trial_study(SINE24, order, n_list, jitter, 9, 5)
         assert convergence_study(SINE24, order, n_list, jitter, 9, seed=5) == want
@@ -310,7 +310,7 @@ class TestErrorBlocks:
     @pytest.mark.parametrize("block_points", [None, 700])
     def test_exact_solution_called_once_per_block(self, block_points, monkeypatch):
         if block_points is not None:
-            monkeypatch.setattr(fem, "_BLOCK_POINTS", block_points)
+            monkeypatch.setattr(fem, "_BLOCK", block_points)
         n_list, trials, orders = [2, 17, 96], 60, (1, 3)
         problem, sizes = recording(SINE24)
         per_trial_sweep(problem, *orders, n_list, trials, 0.3, 9)
@@ -323,10 +323,10 @@ class TestErrorBlocks:
         for n in n_list:
             for order in orders:
                 points = n * (order + fem._ERROR_EXTRA_POINTS)
-                if points <= fem._BLOCK_POINTS:
-                    blocks += -(-trials // (fem._BLOCK_POINTS // points))
+                if points <= fem._BLOCK:
+                    blocks += -(-trials // (fem._BLOCK // points))
                 else:
-                    per_block = fem._BLOCK_POINTS // (order + fem._ERROR_EXTRA_POINTS)
+                    per_block = fem._BLOCK // (order + fem._ERROR_EXTRA_POINTS)
                     blocks += trials * -(-n // per_block)
         assert len(sizes) <= blocks
         assert len(sizes) < len(chain)
