@@ -119,7 +119,7 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
 
 def _int_list(ctx: click.Context, param: click.Parameter, text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part.strip()]
+        values = [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise click.BadParameter(f"expected a comma-separated integer list: {exc}") from exc
     if any(value < 1 for value in values):
@@ -129,14 +129,14 @@ def _int_list(ctx: click.Context, param: click.Parameter, text: str) -> list[int
 
 def _orders(ctx: click.Context, param: click.Parameter, text: str) -> list[int]:
     orders = _int_list(ctx, param, text)
-    if not orders or len(set(orders)) < len(orders) or max(orders) > MAX_ORDER:
+    if len(set(orders)) < len(orders) or max(orders) > MAX_ORDER:
         raise click.BadParameter(f"expected distinct orders in [1, {MAX_ORDER}], got {text!r}")
     return orders
 
 
 def _n_list(ctx: click.Context, param: click.Parameter, text: str) -> list[int]:
     n_list = _int_list(ctx, param, text)
-    if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
+    if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise click.BadParameter(f"expected strictly increasing element counts, got {text!r}")
     return n_list
 

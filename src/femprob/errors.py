@@ -1,10 +1,12 @@
 """Exception hierarchy shared by all femprob modules, and the checks that
-raise `ParameterError` for a count, a number or a positive size.
+raise `ParameterError` for an integer, a count, a number or a positive size.
 
 `_checked_count` and `_checked_positive` are the one rule for every count
-(element orders, element counts, trial counts, grid sizes, seminorm orders)
-and every positive size (mesh size h, error constants) the library takes;
-`_checked_number` is the rule for any other number (a jitter).
+(element orders, element counts, trial counts, grid sizes, seminorm orders,
+draw counts and offsets) and every positive size (mesh size h, error
+constants) the library takes; `_checked_integer` is the rule for any other
+integer (a seed, a stream key, a key-path element) and `_checked_number` for
+any other number (a jitter).
 """
 
 import math
@@ -30,14 +32,19 @@ class UnsupportedProblemError(FemProbError, KeyError):
     __str__ = Exception.__str__
 
 
-def _checked_count(value, name: str, minimum: int = 1) -> int:
-    """`value` as an int of at least `minimum`; floats, strings and bools are refused."""
+def _checked_integer(value, name: str) -> int:
+    """`value` as an int; floats, strings and bools are refused."""
     try:
         if isinstance(value, bool):
             raise TypeError
-        value = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _checked_count(value, name: str, minimum: int = 1) -> int:
+    """`value` as an int of at least `minimum`, by the rule of `_checked_integer`."""
+    value = _checked_integer(value, name)
     if value < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}")
     return value

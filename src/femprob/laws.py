@@ -131,20 +131,26 @@ def prob_two_step(pair: ElementPair, h: float) -> float:
     return 0.5
 
 
+def _tail(pair: ElementPair, h: float) -> tuple[bool, float]:
+    """Whether h lies at or below the crossover, and the tail mass of both laws.
+
+    With t = h / h_star the tail is ``min(t, 1/t)**(m-k) / 2``, which lies in
+    [0, 1/2] even when t overflows to inf or underflows to 0; each law is
+    the tail on one side of the crossover and one minus it on the other.
+    """
+    t = _checked_h(h) / pair.h_star
+    below = t <= 1.0
+    return below, 0.5 * (t if below else 1.0 / t) ** pair.order_gap
+
+
 def prob_sigmoid(pair: ElementPair, h: float) -> float:
     """Probability that the high-order family is at least as accurate at h.
 
     Uniform-error model; both branches meet at the value 1/2 when h equals
-    the crossover.  The result is clamped to [0, 1] to protect consumers
-    from floating-point spill.
+    the crossover.
     """
-    h = _checked_h(h)
-    t = h / pair.h_star
-    if t <= 1.0:
-        p = 1.0 - 0.5 * t**pair.order_gap
-    else:
-        p = 0.5 * (1.0 / t) ** pair.order_gap
-    return min(1.0, max(0.0, p))
+    below, tail = _tail(pair, h)
+    return 1.0 - tail if below else tail
 
 
 def prob_sigmoid_complement(pair: ElementPair, h: float) -> float:
@@ -155,13 +161,8 @@ def prob_sigmoid_complement(pair: ElementPair, h: float) -> float:
     h far below the crossover (where the complement is ~(h/h_star)**gap/2,
     far beneath float64 resolution of 1).
     """
-    h = _checked_h(h)
-    t = h / pair.h_star
-    if t <= 1.0:
-        p = 0.5 * t**pair.order_gap
-    else:
-        p = 1.0 - 0.5 * (1.0 / t) ** pair.order_gap
-    return min(1.0, max(0.0, p))
+    below, tail = _tail(pair, h)
+    return tail if below else 1.0 - tail
 
 
 def tabulate_curve(pair: ElementPair, h_grid, law) -> tuple[float, ...]:

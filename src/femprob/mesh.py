@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, _checked_count, _checked_number
+from .errors import ParameterError, _checked_count, _checked_integer, _checked_number
 from .rng import _BLOCK, derive_key, uniforms
 
 __all__ = ["Mesh1D", "build_mesh", "jittered_nodes"]
@@ -78,7 +78,9 @@ def build_mesh(n_elements: int, jitter: float, seed: int) -> Mesh1D:
     Each interior node moves by an independent uniform offset in
     [-jitter * h_u, +jitter * h_u] where h_u = 1/n_elements; jitter < 0.5
     keeps every gap inside [(1 - 2*jitter) * h_u, (1 + 2*jitter) * h_u],
-    so ordering can never break.  Deterministic in `seed`.
+    so ordering can never break.  Deterministic in `seed`, any integer,
+    taken modulo 2**64.
     """
+    seed = _checked_integer(seed, "seed")
     seeds = np.array([seed % 2**64], dtype=np.uint64)
     return Mesh1D(nodes=jittered_nodes(n_elements, jitter, seeds)[0], seed=seed)

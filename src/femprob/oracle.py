@@ -84,21 +84,24 @@ class ConditionalIdentityReport:
     identity_residual: float
 
 
-def _intervals(pair: ElementPair, h: float) -> tuple[float, float]:
-    """Upper endpoints (low family, high family) of the two error intervals."""
-    h = _checked_h(h)
-    return pair.low.bound(h), pair.high.bound(h)
+def _streams(pair: ElementPair, h: float, seed: int) -> tuple[tuple[int, float], ...]:
+    """The (key, interval top) stream of the low family under `seed`, then the high's.
+
+    The low family draws from ``derive_key(seed, 0)`` scaled by its bound at
+    h, the high family from ``derive_key(seed, 1)`` scaled by its own.
+    """
+    return (
+        (derive_key(seed, _STREAM_LOW), pair.low.bound(h)),
+        (derive_key(seed, _STREAM_HIGH), pair.high.bound(h)),
+    )
 
 
 def draw_error_samples(
-    pair: ElementPair, h: float, n_trials: int, seed: int, offset: int = 0
+    pair: ElementPair, h: float, n_trials: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized draws (x_low, x_high) for trials offset..offset+n_trials-1."""
+    """Vectorized draws (x_low, x_high) of trials 0..n_trials-1."""
     n_trials = _checked_count(n_trials, "n_trials")
-    top_low, top_high = _intervals(pair, h)
-    x_low = uniforms(derive_key(seed, _STREAM_LOW), n_trials, offset) * top_low
-    x_high = uniforms(derive_key(seed, _STREAM_HIGH), n_trials, offset) * top_high
-    return x_low, x_high
+    return tuple(uniforms(key, n_trials) * top for key, top in _streams(pair, h, seed))
 
 
 def trapezium_ratio(pair: ElementPair, h: float) -> float:
@@ -115,7 +118,7 @@ def trapezium_ratio(pair: ElementPair, h: float) -> float:
             f"trapezium geometry requires h <= h_star ({pair.h_star!r}), got {h!r};"
             " swap the two families for the other branch"
         )
-    b, a = _intervals(pair, h)
+    b, a = pair.low.bound(h), pair.high.bound(h)
     rectangle = a * b
     if rectangle == 0.0:
         raise ParameterError("bound intervals underflowed to zero; h too extreme")
@@ -162,14 +165,9 @@ def mc_estimate(
     """
     n_trials = _checked_count(n_trials, "n_trials")
     step = _BLOCK if chunk_size is None else _checked_count(chunk_size, "chunk_size")
-    top_low, top_high = _intervals(pair, h)
-    streams = (
-        (derive_key(seed, _STREAM_LOW), top_low),
-        (derive_key(seed, _STREAM_HIGH), top_high),
-    )
     wins = np.empty(min(step, n_trials), dtype=bool)
     hits = 0
-    for x_low, x_high in _scaled_blocks(n_trials, step, *streams):
+    for x_low, x_high in _scaled_blocks(n_trials, step, *_streams(pair, h, seed)):
         hits += int(np.count_nonzero(np.less_equal(x_high, x_low, out=wins[:x_low.size])))
     return McEstimate(p_hat=hits / n_trials, n_trials=n_trials, seed=seed)
 
@@ -195,15 +193,12 @@ def conditional_identity_check(
         )
     n_trials = _checked_count(n_trials, "n_trials")
     prob_win = mc_estimate(pair, h, n_trials, derive_key(seed, _STREAM_WIN)).p_hat
-    top_low, top_high = _intervals(pair, h)
-    band, conditional = (derive_key(seed, tag) for tag in (_STREAM_BAND, _STREAM_CONDITIONAL))
-    streams = (
-        (derive_key(band, _STREAM_LOW), top_low),
-        (derive_key(conditional, _STREAM_LOW), top_low),
-        (derive_key(conditional, _STREAM_HIGH), top_high),
-    )
+    # the band batch counts its low-family draws alone
+    band = _streams(pair, h, derive_key(seed, _STREAM_BAND))[0]
+    low, high = _streams(pair, h, derive_key(seed, _STREAM_CONDITIONAL))
+    top_low, top_high = low[1], high[1]
     n_band = n_wins = n_band_and_win = 0
-    for band_low, x_low, x_high in _scaled_blocks(n_trials, _BLOCK, *streams):
+    for band_low, x_low, x_high in _scaled_blocks(n_trials, _BLOCK, band, low, high):
         n_band += int(np.count_nonzero((band_low >= top_high) & (band_low <= top_low)))
         wins = x_high <= x_low
         n_wins += int(np.count_nonzero(wins))
@@ -242,9 +237,8 @@ def numeric_area_oracle(pair: ElementPair, h: float, grid_n: int) -> float:
     The abscissa count per column is a sorted-array rank, which reproduces
     the midpoint-rule sum exactly in O(n log n).
     """
-    h = _checked_h(h)
     grid_n = _checked_count(grid_n, "grid_n", minimum=2)
-    top_low, top_high = _intervals(pair, h)
+    top_low, top_high = pair.low.bound(h), pair.high.bound(h)
     centers = (np.arange(grid_n) + 0.5) / grid_n
     x_high = centers * top_high
     x_low = centers * top_low

@@ -52,7 +52,7 @@ class Problem1D:
     def __post_init__(self):
         for endpoint in (0.0, 1.0):
             value = float(self.exact_solution(np.asarray(endpoint)))
-            if abs(value) > _BOUNDARY_TOL:
+            if not abs(value) <= _BOUNDARY_TOL:
                 raise ParameterError(
                     f"problem {self.name!r}: exact_solution({endpoint}) = {value!r}"
                     " violates the homogeneous Dirichlet condition"

@@ -10,10 +10,13 @@ There is no mutable generator state, so
   across platforms and library versions (no dependency on numpy's
   Generator stream guarantees).
 
-Keys and streams come as arrays too: `derive_key` takes a uint64 array of
+Keys and streams come as arrays too: `derive_key` takes an integer array of
 seeds or of path elements (say trial indices), and `uniforms` takes an array
 of keys, one row each.  Scalar and array paths run the same in-place
-finalizer, so each element equals its scalar call.
+finalizer, so each element equals its scalar call.  A seed, a key or a path
+element is any integer of either sign, taken modulo 2**64; a float, a bool
+or a string is a `ParameterError` naming the argument, as a negative count
+or offset is.
 
 `uniforms` forms the counters of a block of draws as one sum of a read-only
 table of `_BLOCK` steps ``(i + 1) * GOLDEN``, built on the first draw, and
@@ -31,6 +34,8 @@ from __future__ import annotations
 from functools import cache
 
 import numpy as np
+
+from .errors import ParameterError, _checked_count, _checked_integer
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -78,24 +83,33 @@ def mix64(x: int | np.ndarray) -> int | np.ndarray:
     return int(_finalize(z, np.empty_like(z))[0])
 
 
+def _key_part(value: int | np.ndarray, name: str) -> int | np.ndarray:
+    """A seed or path element modulo 2**64: a uint64 copy of an integer array, else an int."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iu":
+            raise ParameterError(f"{name} must be an integer array, got dtype {value.dtype}")
+        return value.astype(np.uint64)
+    return _checked_integer(value, name) & _MASK64
+
+
 def derive_key(seed: int | np.ndarray, *path: int | np.ndarray) -> int | np.ndarray:
     """Derive a 64-bit stream key from a seed and a path of integers.
 
     Chained mixing makes distinct paths produce statistically independent
     streams; (seed,) and (seed, 0) differ because every path element is
-    offset before mixing.  The seed or a path element may be a uint64 array
-    (say of trial indices); the result is then the uint64 array of the keys
-    of its elements, each equal to its scalar call, with each step of the
-    chain run once over the whole array.
+    offset before mixing.  The seed or a path element may be an integer
+    array (say of trial indices); the result is then the uint64 array of
+    the keys of its elements, each equal to its scalar call, with each step
+    of the chain run once over the whole array.
     """
-    key = mix64(seed)
-    for p in path:
-        if isinstance(p, np.ndarray):
-            offset = p.astype(np.uint64)
+    key = mix64(_key_part(seed, "seed"))
+    for i, p in enumerate(path):
+        offset = _key_part(p, f"path[{i}]")
+        if isinstance(offset, np.ndarray):
             offset += np.uint64(1)
             offset *= _GOLDEN_U64
         else:
-            offset = ((int(p) + 1) * _GOLDEN) & _MASK64
+            offset = ((offset + 1) * _GOLDEN) & _MASK64
         key = mix64(key ^ offset)
     return key
 
@@ -124,21 +138,19 @@ def uniforms(
     The variates are written into `out` when given, a float64 array of the
     result's shape, and `out` is returned.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if offset < 0:
-        raise ValueError("offset must be nonnegative")
+    count = _checked_count(count, "count", minimum=0)
+    offset = _checked_count(offset, "offset", minimum=0)
     keys = isinstance(key, np.ndarray)
     if keys:
         if key.ndim != 1 or key.dtype != np.uint64:
-            raise ValueError("an array of keys must be 1-D uint64")
+            raise ParameterError("an array of keys must be 1-D uint64")
         shape, start = (key.size, count), offset * _GOLDEN
     else:
-        shape, start = (count,), int(key) + offset * _GOLDEN
+        shape, start = (count,), _checked_integer(key, "key") + offset * _GOLDEN
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {shape}")
+        raise ParameterError(f"out must be a float64 array of shape {shape}")
     steps = _steps()
     for first in range(0, count, _BLOCK):
         z = steps[:count - first] + np.uint64((start + first * _GOLDEN) & _MASK64)
@@ -156,7 +168,6 @@ def uniforms(
 
 def uniform_at(key: int, index: int) -> float:
     """Single variate `index` of stream `key`; agrees with `uniforms`."""
-    if index < 0:
-        raise ValueError("index must be nonnegative")
-    z = mix64((key + (index + 1) * _GOLDEN) & _MASK64)
+    index = _checked_count(index, "index", minimum=0)
+    z = mix64((_checked_integer(key, "key") + (index + 1) * _GOLDEN) & _MASK64)
     return (z >> 11) * _INV_2_53

@@ -425,6 +425,9 @@ class TestUsageErrors:
         ([*FEM_SMALL, "--orders", "1,11"], "--orders"),
         ([*FEM_SMALL, "--n-list", "8,4"], "--n-list"),
         ([*COMPARE_SMALL, "--n-list", ""], "--n-list"),
+        ([*FEM_SMALL, "--n-list", "8,,16"], "--n-list"),
+        ([*FEM_SMALL, "--orders", "1,,2"], "--orders"),
+        ([*COMPARE_SMALL, "--n-list", "2,4,"], "--n-list"),
     ])
     def test_bad_value_names_its_flag(self, args, flag):
         assert f"'{flag}'" in error_line(run_cli(*args, expect=2))

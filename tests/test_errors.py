@@ -1,6 +1,7 @@
 """The failure contract of the library: every count argument is an integer
-of at least its minimum, every size is a finite float > 0, and anything
-else is a ParameterError that names the argument."""
+of at least its minimum, every seed or stream key is an integer, every size
+is a finite float > 0, and anything else is a ParameterError that names the
+argument."""
 
 import math
 import re
@@ -34,6 +35,7 @@ from femprob.oracle import (
     numeric_area_oracle,
 )
 from femprob.problems import seminorm_reference
+from femprob.rng import derive_key, uniform_at, uniforms
 from femprob.study import superiority_sweep
 
 PAIR = ElementPair.from_constants(1.0, 1, 2.0, 2)  # crossover at 0.5
@@ -74,6 +76,33 @@ COUNTS = {
     "seminorm_reference": ("seminorm order s", lambda v: seminorm_reference(SINE, v)),
 }
 
+# the draw counts of `rng` may be 0
+DRAW_COUNTS = {
+    "uniforms": ("count", lambda v: uniforms(1, v)),
+    "uniforms_offset": ("offset", lambda v: uniforms(1, 2, v)),
+    "uniform_at": ("index", lambda v: uniform_at(1, v)),
+}
+
+# a seed, a key or a key-path element may be any integer, of either sign
+INTEGERS = {
+    "derive_key": ("seed", lambda v: derive_key(v)),
+    "derive_key_path": ("path[1]", lambda v: derive_key(7, 0, v)),
+    "uniforms": ("key", lambda v: uniforms(v, 2)),
+    "uniform_at": ("key", lambda v: uniform_at(v, 2)),
+    "build_mesh": ("seed", lambda v: build_mesh(4, 0.3, v)),
+    "draw_error_samples": ("seed", lambda v: draw_error_samples(PAIR, 0.25, 10, v)),
+    "mc_estimate": ("seed", lambda v: mc_estimate(PAIR, 0.25, 10, v)),
+    "conditional_identity_check": (
+        "seed", lambda v: conditional_identity_check(PAIR, 0.25, 10, v)
+    ),
+}
+
+# an array of seeds or of key-path elements must hold integers
+KEY_ARRAYS = {
+    "derive_key": ("seed", lambda a: derive_key(a)),
+    "derive_key_path": ("path[0]", lambda a: derive_key(7, a)),
+}
+
 SIZES = {
     "ErrorLaw": ("constant", lambda v: ErrorLaw(1, v)),
     "from_constants": ("constant", lambda v: ElementPair.from_constants(v, 1, 2.0, 2)),
@@ -100,6 +129,27 @@ SIZES = {
 def test_count_must_be_an_integer_of_at_least_one(name, call, value):
     with pytest.raises(ParameterError, match=re.escape(name)):
         call(value)
+
+
+@pytest.mark.parametrize("value", [-1, 2.5, True, "3"])
+@pytest.mark.parametrize("name, call", DRAW_COUNTS.values(), ids=DRAW_COUNTS)
+def test_draw_count_must_be_a_nonnegative_integer(name, call, value):
+    with pytest.raises(ParameterError, match=re.escape(name)):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3", None])
+@pytest.mark.parametrize("name, call", INTEGERS.values(), ids=INTEGERS)
+def test_seed_must_be_an_integer(name, call, value):
+    with pytest.raises(ParameterError, match=re.escape(name)):
+        call(value)
+
+
+@pytest.mark.parametrize("array", [np.array([1.5]), np.array([True])], ids=["float", "bool"])
+@pytest.mark.parametrize("name, call", KEY_ARRAYS.values(), ids=KEY_ARRAYS)
+def test_key_array_must_have_an_integer_dtype(name, call, array):
+    with pytest.raises(ParameterError, match=re.escape(name)):
+        call(array)
 
 
 @pytest.mark.parametrize("value", [None, "x", math.nan, -1.0])

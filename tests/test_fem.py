@@ -208,9 +208,11 @@ class TestAssembleSolve:
 
     @pytest.mark.parametrize("field", ["exact_solution", "exact_derivative"])
     def test_nan_exact_value_rejected(self, field):
-        nan_exact = dataclasses.replace(
-            SINE, name="nan-exact", **{field: lambda x: np.full_like(x, np.nan)}
-        )
+        def nan_inside(x):
+            # a NaN boundary value is refused at construction, so NaN inside (0, 1) only
+            return np.where((x > 0.0) & (x < 1.0), np.nan, 0.0)
+
+        nan_exact = dataclasses.replace(SINE, name="nan-exact", **{field: nan_inside})
         solution = assemble_solve(build_mesh(6, 0.2, seed=3), 2, nan_exact)
         with pytest.raises(ParameterError, match="'nan-exact'"):
             h1_error(solution, nan_exact)

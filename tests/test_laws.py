@@ -1,8 +1,10 @@
 """Closed-form laws: frozen examples, independent oracles, and properties."""
 
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from femprob import ElementPair, ParameterError, prob_sigmoid
@@ -221,6 +223,23 @@ class TestSigmoid:
         assert prob_sigmoid(pair, 1e-300) == 1.0  # complement below resolution
         for h in (1e-300, 1e-5, 1.0, 1e5, 1e300):
             assert 0.0 <= prob_sigmoid(pair, h) <= 1.0
+
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 3),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
+        st.floats(min_value=5e-324, max_value=sys.float_info.max, allow_subnormal=True),
+    )
+    # h / h* overflows to inf (h* = 1e-6) and underflows to 0 (h* = 1e6)
+    @example(1, 1, 1e-3, 1e3, sys.float_info.max)
+    @example(1, 1, 1e3, 1e-3, 5e-324)
+    @settings(max_examples=300, deadline=None)
+    def test_both_laws_are_complementary_probabilities(self, order, gap, c_low, c_high, h):
+        pair = ElementPair.from_constants(c_low, order, c_high, order + gap)
+        p, q = prob_sigmoid(pair, h), prob_sigmoid_complement(pair, h)
+        assert 0.0 <= p <= 1.0 and 0.0 <= q <= 1.0
+        assert abs(p + q - 1.0) <= 1e-15
 
     def test_rejects_nonpositive_h(self):
         with pytest.raises(ParameterError):

@@ -152,6 +152,14 @@ class TestDrawSamples:
         assert np.all((x_low >= 0) & (x_low <= REFERENCE.low.bound(0.25)))
         assert np.all((x_high >= 0) & (x_high <= REFERENCE.high.bound(0.25)))
 
+    @pytest.mark.parametrize("seed, h", [(3, 0.25), (2026, 1.2)])
+    def test_low_family_draws_stream_0_and_high_family_stream_1(self, seed, h):
+        x_low, x_high = draw_error_samples(REFERENCE, h, 1000, seed)
+        want_low = uniforms(derive_key(seed, 0), 1000) * REFERENCE.low.bound(h)
+        want_high = uniforms(derive_key(seed, 1), 1000) * REFERENCE.high.bound(h)
+        assert x_low.tobytes() == want_low.tobytes()
+        assert x_high.tobytes() == want_high.tobytes()
+
 
 class TestConditionalIdentity:
     def test_reference_configuration(self):

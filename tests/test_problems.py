@@ -65,6 +65,23 @@ class TestConsistency:
                 source=lambda x: np.pi**2 * np.cos(np.pi * x),
             )
 
+    @pytest.mark.parametrize(
+        "exact_solution",
+        [
+            lambda x: np.full_like(x, np.nan, dtype=float),
+            lambda x: np.where(x == 1.0, np.nan, x * (1.0 - x)),
+        ],
+        ids=["nan-everywhere", "nan-at-1"],
+    )
+    def test_nan_boundary_value_rejected(self, exact_solution):
+        with pytest.raises(ParameterError, match="Dirichlet"):
+            Problem1D(
+                name="nan",
+                exact_solution=exact_solution,
+                exact_derivative=lambda x: 1.0 - 2.0 * x,
+                source=lambda x: np.full_like(x, 2.0),
+            )
+
 
 class TestSeminorms:
     def test_sine_second_seminorm(self):
