@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, _checked_count, _checked_integer, _checked_number
-from .rng import _BLOCK, derive_key, uniforms
+from .rng import _BLOCK, _key_part, derive_key, uniforms
 
 __all__ = ["Mesh1D", "build_mesh", "jittered_nodes"]
 
@@ -32,6 +32,7 @@ class Mesh1D:
     h_max: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _checked_integer(self.seed, "seed"))
         nodes = np.asarray(self.nodes, dtype=np.float64)
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 2:
@@ -51,11 +52,15 @@ def jittered_nodes(n_elements: int, jitter: float, seeds: np.ndarray) -> np.ndar
     """Nodes of one jittered n-element mesh per seed, one row per mesh.
 
     Row j is ``build_mesh(n_elements, jitter, int(seeds[j])).nodes``, bit for
-    bit; `seeds` is a 1-D uint64 array.  The draws for many meshes come from
-    one `uniforms` call per chunk of meshes, each chunk at most `_BLOCK`
-    values (one mesh per chunk when a mesh alone has more), so the
-    temporaries stay in L2 cache however many meshes there are.
+    bit; `seeds` is a 1-D array of an integer dtype, taken modulo 2**64 as
+    `derive_key` takes it, and checked also when no node moves.  The draws
+    for many meshes come from one `uniforms` call per chunk of meshes, each
+    chunk at most `_BLOCK` values (one mesh per chunk when a mesh alone has
+    more), so the temporaries stay in L2 cache however many meshes there are.
     """
+    seeds = _key_part(seeds, "seeds")
+    if seeds.ndim != 1:
+        raise ParameterError(f"seeds must be a 1-D integer array, got shape {seeds.shape}")
     n_elements = _checked_count(n_elements, "n_elements")
     jitter = _checked_number(jitter, "jitter")
     if not 0.0 <= jitter < 0.5:
@@ -81,6 +86,5 @@ def build_mesh(n_elements: int, jitter: float, seed: int) -> Mesh1D:
     so ordering can never break.  Deterministic in `seed`, any integer,
     taken modulo 2**64.
     """
-    seed = _checked_integer(seed, "seed")
-    seeds = np.array([seed % 2**64], dtype=np.uint64)
+    seeds = _key_part(seed, "seed").reshape(1)
     return Mesh1D(nodes=jittered_nodes(n_elements, jitter, seeds)[0], seed=seed)

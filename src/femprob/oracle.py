@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParameterError, _checked_count
+from .errors import InsufficientDataError, ParameterError, _checked_count, _checked_integer
 from .laws import ElementPair, _checked_h
 from .rng import _BLOCK, derive_key, uniforms
 
@@ -60,6 +60,7 @@ class McEstimate:
     std_error: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _checked_integer(self.seed, "seed"))
         _checked_count(self.n_trials, "n_trials")
         if not 0.0 <= self.p_hat <= 1.0:
             raise ParameterError("p_hat must lie in [0, 1]")

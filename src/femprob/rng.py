@@ -10,19 +10,25 @@ There is no mutable generator state, so
   across platforms and library versions (no dependency on numpy's
   Generator stream guarantees).
 
-Keys and streams come as arrays too: `derive_key` takes an integer array of
-seeds or of path elements (say trial indices), and `uniforms` takes an array
-of keys, one row each.  Scalar and array paths run the same in-place
-finalizer, so each element equals its scalar call.  A seed, a key or a path
-element is any integer of either sign, taken modulo 2**64; a float, a bool
-or a string is a `ParameterError` naming the argument, as a negative count
-or offset is.
+There is one path for scalars and arrays alike.  A seed, a stream key, a
+key-path element or the argument of `mix64` enters through `_key_part`: an
+integer of either sign, or an array of an integer dtype, taken modulo 2**64
+as a uint64 array (0-d for an integer); a float, a bool or a string is a
+`ParameterError` naming the argument, as a negative count or offset is.
+Every step after that is uint64 array arithmetic, which wraps modulo 2**64
+without overflow warnings, and a call with integer arguments converts its
+result to an int only at its return.  So `derive_key` takes an integer
+array of seeds or of path elements (say trial indices), `uniforms` a 1-D
+uint64 array of keys, one row each, and each element equals its scalar call.
 
-`uniforms` forms the counters of a block of draws as one sum of a read-only
-table of `_BLOCK` steps ``(i + 1) * GOLDEN``, built on the first draw, and
-the scalar ``key + offset * GOLDEN``; longer streams are drawn block by
-block.  Its `out` argument takes a float64 destination, so a loop over
-blocks can draw each one into the same buffer.
+`uniforms` forms the counters of a block of draws as one uint64 add of a
+read-only table of `_BLOCK` steps ``(i + 1) * GOLDEN``, built on the first
+draw, and ``key + (offset + first) * GOLDEN``, the block's start; longer
+streams are drawn block by block.  Its `out` argument takes a float64
+destination, so a loop over blocks can draw each one into the same buffer.
+
+`uniform_at` forms the counter of one draw with Python ints; it is the
+reference that the array path is tested against.
 
 The mixer is the splitmix64 finalizer (Steele, Lea & Flood's SplittableRandom,
 also used to seed the xoshiro family); it passes BigCrush as a bare counter
@@ -47,7 +53,7 @@ _INV_2_53 = 1.0 / (1 << 53)
 
 # numpy scalars of the constants and shifts, built once rather than per call
 _GOLDEN_U64, _MIX_A_U64, _MIX_B_U64 = map(np.uint64, (_GOLDEN, _MIX_A, _MIX_B))
-_U11, _U27, _U30, _U31 = map(np.uint64, (11, 27, 30, 31))
+_ONE_U64, _U11, _U27, _U30, _U31 = map(np.uint64, (1, 11, 27, 30, 31))
 
 # values per block of the draw, mesh, Monte Carlo and quadrature loops:
 # 2**15 float64 values are 256 KiB per array, so every pass over a block
@@ -56,13 +62,15 @@ _U11, _U27, _U30, _U31 = map(np.uint64, (11, 27, 30, 31))
 _BLOCK = 1 << 15
 
 
-def _finalize(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _finalize(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """The splitmix64 finalizer of each element of uint64 array `z`, in place.
 
     `scratch` is a uint64 array of z's shape that every xor-shift writes its
-    shifted copy into.  uint64 array arithmetic wraps modulo 2**64 without
-    overflow warnings.  Returns `z`.
+    shifted copy into, a new one when not given.  uint64 array arithmetic
+    wraps modulo 2**64 without overflow warnings.  Returns `z`.
     """
+    if scratch is None:
+        scratch = np.empty_like(z)
     np.right_shift(z, _U30, out=scratch)
     z ^= scratch
     z *= _MIX_A_U64
@@ -74,22 +82,26 @@ def _finalize(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return z
 
 
-def mix64(x: int | np.ndarray) -> int | np.ndarray:
-    """Splitmix64 finalizer of a 64-bit integer, or of each element of a uint64 array."""
-    if isinstance(x, np.ndarray):
-        z = x.astype(np.uint64)
-        return _finalize(z, np.empty_like(z))
-    z = np.array([x & _MASK64], dtype=np.uint64)
-    return int(_finalize(z, np.empty_like(z))[0])
+def _key_part(value: int | np.ndarray, name: str) -> np.ndarray:
+    """A seed, key or path element modulo 2**64 as a new uint64 array, 0-d for an integer.
 
-
-def _key_part(value: int | np.ndarray, name: str) -> int | np.ndarray:
-    """A seed or path element modulo 2**64: a uint64 copy of an integer array, else an int."""
+    An integer is checked by the rule of `errors._checked_integer`; an array
+    must have an integer dtype.  Either is a `ParameterError` naming `name`.
+    """
     if isinstance(value, np.ndarray):
         if value.dtype.kind not in "iu":
             raise ParameterError(f"{name} must be an integer array, got dtype {value.dtype}")
         return value.astype(np.uint64)
-    return _checked_integer(value, name) & _MASK64
+    return np.array(_checked_integer(value, name) & _MASK64, dtype=np.uint64)
+
+
+def mix64(x: int | np.ndarray) -> int | np.ndarray:
+    """Splitmix64 finalizer of an integer modulo 2**64, as an int.
+
+    Of an integer array, the uint64 array of the finalizer of each element.
+    """
+    z = _finalize(_key_part(x, "x"))
+    return int(z) if z.ndim == 0 else z
 
 
 def derive_key(seed: int | np.ndarray, *path: int | np.ndarray) -> int | np.ndarray:
@@ -102,16 +114,15 @@ def derive_key(seed: int | np.ndarray, *path: int | np.ndarray) -> int | np.ndar
     the keys of its elements, each equal to its scalar call, with each step
     of the chain run once over the whole array.
     """
-    key = mix64(_key_part(seed, "seed"))
+    key = _finalize(_key_part(seed, "seed"))
     for i, p in enumerate(path):
         offset = _key_part(p, f"path[{i}]")
-        if isinstance(offset, np.ndarray):
-            offset += np.uint64(1)
-            offset *= _GOLDEN_U64
-        else:
-            offset = ((offset + 1) * _GOLDEN) & _MASK64
-        key = mix64(key ^ offset)
-    return key
+        offset += _ONE_U64
+        offset *= _GOLDEN_U64
+        # an explicit output keeps the xor of two 0-d arrays an array
+        mixed = np.empty(np.broadcast(key, offset).shape, dtype=np.uint64)
+        key = _finalize(np.bitwise_xor(key, offset, out=mixed))
+    return int(key) if key.ndim == 0 else key
 
 
 @cache
@@ -140,22 +151,18 @@ def uniforms(
     """
     count = _checked_count(count, "count", minimum=0)
     offset = _checked_count(offset, "offset", minimum=0)
-    keys = isinstance(key, np.ndarray)
-    if keys:
-        if key.ndim != 1 or key.dtype != np.uint64:
-            raise ParameterError("an array of keys must be 1-D uint64")
-        shape, start = (key.size, count), offset * _GOLDEN
-    else:
-        shape, start = (count,), _checked_integer(key, "key") + offset * _GOLDEN
+    if isinstance(key, np.ndarray) and (key.ndim != 1 or key.dtype != np.uint64):
+        raise ParameterError("an array of keys must be 1-D uint64")
+    key = _key_part(key, "key")
+    shape = key.shape + (count,)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise ParameterError(f"out must be a float64 array of shape {shape}")
     steps = _steps()
     for first in range(0, count, _BLOCK):
-        z = steps[:count - first] + np.uint64((start + first * _GOLDEN) & _MASK64)
-        if keys:
-            z = np.add.outer(key, z)
+        base = _key_part((offset + first) * _GOLDEN, "offset")
+        z = steps[:count - first] + (key[..., None] + base)
         # the block of `out` doubles as the scratch array: every xor-shift
         # writes its shifted copy into its uint64 view, and the final scaling
         # fills it as float64 (z < 2**53 there, so the conversion is exact)

@@ -27,7 +27,7 @@ from femprob.laws import (
     prob_two_step,
     tabulate_curve,
 )
-from femprob.mesh import jittered_nodes
+from femprob.mesh import Mesh1D, jittered_nodes
 from femprob.oracle import (
     McEstimate,
     conditional_identity_check,
@@ -35,7 +35,7 @@ from femprob.oracle import (
     numeric_area_oracle,
 )
 from femprob.problems import seminorm_reference
-from femprob.rng import derive_key, uniform_at, uniforms
+from femprob.rng import derive_key, mix64, uniform_at, uniforms
 from femprob.study import superiority_sweep
 
 PAIR = ElementPair.from_constants(1.0, 1, 2.0, 2)  # crossover at 0.5
@@ -89,7 +89,10 @@ INTEGERS = {
     "derive_key_path": ("path[1]", lambda v: derive_key(7, 0, v)),
     "uniforms": ("key", lambda v: uniforms(v, 2)),
     "uniform_at": ("key", lambda v: uniform_at(v, 2)),
+    "mix64": ("x", lambda v: mix64(v)),
     "build_mesh": ("seed", lambda v: build_mesh(4, 0.3, v)),
+    "Mesh1D": ("seed", lambda v: Mesh1D(np.linspace(0.0, 1.0, 3), v)),
+    "McEstimate": ("seed", lambda v: McEstimate(0.5, 10, v)),
     "draw_error_samples": ("seed", lambda v: draw_error_samples(PAIR, 0.25, 10, v)),
     "mc_estimate": ("seed", lambda v: mc_estimate(PAIR, 0.25, 10, v)),
     "conditional_identity_check": (
@@ -97,10 +100,15 @@ INTEGERS = {
     ),
 }
 
-# an array of seeds or of key-path elements must hold integers
+# an array of seeds or of key-path elements must hold integers, also where
+# no draw is made (a mesh with jitter 0 or one element)
 KEY_ARRAYS = {
     "derive_key": ("seed", lambda a: derive_key(a)),
     "derive_key_path": ("path[0]", lambda a: derive_key(7, a)),
+    "mix64": ("x", lambda a: mix64(a)),
+    "jittered_nodes": ("seeds", lambda a: jittered_nodes(4, 0.3, a)),
+    "jittered_nodes_no_jitter": ("seeds", lambda a: jittered_nodes(4, 0.0, a)),
+    "jittered_nodes_one_element": ("seeds", lambda a: jittered_nodes(1, 0.3, a)),
 }
 
 SIZES = {
@@ -150,6 +158,16 @@ def test_seed_must_be_an_integer(name, call, value):
 def test_key_array_must_have_an_integer_dtype(name, call, array):
     with pytest.raises(ParameterError, match=re.escape(name)):
         call(array)
+
+
+@pytest.mark.parametrize(
+    "seeds", [[1.5, "x"], [1, 2], 7, np.zeros((2, 2), dtype=np.uint64)],
+    ids=["list", "int_list", "integer", "2d"],
+)
+@pytest.mark.parametrize("n, jitter", [(4, 0.3), (4, 0.0), (1, 0.3)])
+def test_jittered_nodes_seeds_must_be_a_1d_integer_array(n, jitter, seeds):
+    with pytest.raises(ParameterError, match="^seeds "):
+        jittered_nodes(n, jitter, seeds)
 
 
 @pytest.mark.parametrize("value", [None, "x", math.nan, -1.0])

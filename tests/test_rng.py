@@ -166,6 +166,81 @@ class TestKeyArrays:
             uniforms(key, 4)
 
 
+_M64 = 2**64 - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix_reference(z):
+    """The splitmix64 finalizer in Python ints, reducing after every product."""
+    z ^= z >> 30
+    z = z * 0xBF58476D1CE4E5B9 & _M64
+    z ^= z >> 27
+    z = z * 0x94D049BB133111EB & _M64
+    return z ^ z >> 31
+
+
+def _key_reference(seed, *path):
+    key = _mix_reference(seed & _M64)
+    for p in path:
+        key = _mix_reference(key ^ (p + 1) * _GOLDEN & _M64)
+    return key
+
+
+def _uniforms_reference(key, count, offset):
+    return [
+        (_mix_reference(key + (offset + i + 1) * _GOLDEN & _M64) >> 11) / 2**53
+        for i in range(count)
+    ]
+
+
+class TestIntReference:
+    """`mix64`, `derive_key` and `uniforms` equal a Python-int splitmix64, bit for bit."""
+
+    wide = st.integers(min_value=-(2**70), max_value=2**70)
+
+    @given(wide, st.lists(wide, max_size=3), st.lists(wide, min_size=1, max_size=4),
+           st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_mix64_and_derive_key(self, seed, path, elements, at):
+        # an integer argument, a Python int or a numpy integer of any sign,
+        # gives an int
+        signed = (seed + 2**63) % 2**64 - 2**63
+        for integer in (seed, np.int64(signed), np.uint64(seed & _M64)):
+            mixed = mix64(integer)
+            assert type(mixed) is int and mixed == _mix_reference(seed & _M64)
+            key = derive_key(integer, *path)
+            assert type(key) is int and key == _key_reference(seed, *path)
+        # an array of elements (int64 or uint64) at any position of the path
+        # or as the seed: one key per element, each its scalar chain
+        array = np.array([e & _M64 for e in elements], dtype=np.uint64)
+        at = min(at, len(path))
+        for values in (array, array.view(np.int64)):
+            mixed = mix64(values)
+            assert mixed.dtype == np.uint64
+            assert mixed.tolist() == [_mix_reference(e & _M64) for e in elements]
+            keys = derive_key(seed, *path[:at], values, *path[at:])
+            assert keys.dtype == np.uint64
+            want = [_key_reference(seed, *path[:at], e, *path[at:]) for e in elements]
+            assert keys.tolist() == want
+            keys = derive_key(values, *path)
+            assert keys.tolist() == [_key_reference(e, *path) for e in elements]
+
+    @given(
+        wide,
+        st.lists(st.integers(0, _M64), min_size=1, max_size=3),
+        st.integers(0, 40),
+        st.one_of(st.integers(0, 2**16), st.integers(2**64 - 60, 2**64 + 60)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_uniforms(self, key, keys, count, offset):
+        draws = uniforms(key, count, offset)
+        assert draws.dtype == np.float64
+        assert draws.tolist() == _uniforms_reference(key & _M64, count, offset)
+        rows = uniforms(np.array(keys, dtype=np.uint64), count, offset)
+        assert rows.shape == (len(keys), count)
+        assert rows.tolist() == [_uniforms_reference(k, count, offset) for k in keys]
+
+
 class TestDistribution:
     def test_range_mean_variance(self):
         u = uniforms(derive_key(2024), 200_000)
