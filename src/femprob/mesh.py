@@ -1,12 +1,14 @@
 """Randomly jittered 1D meshes of the unit interval.
 
 `jittered_nodes` draws the nodes of many meshes at once, one row per seed;
-`build_mesh` is its one-seed case wrapped as a `Mesh1D`.
+`build_mesh` is its one-seed case wrapped as a `Mesh1D`, and
+`Mesh1D._of_rows` wraps all its rows at once, checked as one array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -22,7 +24,9 @@ class Mesh1D:
 
     ``gaps`` holds the element diameters (read-only), ``n_elements`` their
     number and ``h_max`` the largest of them, the mesh size every error
-    bound in this package is phrased in.
+    bound in this package is phrased in.  The nodes are checked, and these
+    fields computed, by the rule of `_checked_gaps`, which `_of_rows`
+    applies once to the node rows of many meshes.
     """
 
     nodes: np.ndarray
@@ -35,17 +39,58 @@ class Mesh1D:
         object.__setattr__(self, "seed", _checked_integer(self.seed, "seed"))
         nodes = np.asarray(self.nodes, dtype=np.float64)
         object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise ParameterError("a mesh needs at least two nodes")
-        if nodes[0] != 0.0 or nodes[-1] != 1.0:
-            raise ParameterError("mesh must span exactly [0, 1]")
-        gaps = nodes[1:] - nodes[:-1]
-        if not gaps.min() > 0.0:
-            raise ParameterError("mesh nodes must be strictly increasing")
-        gaps.flags.writeable = False
-        object.__setattr__(self, "gaps", gaps)
-        object.__setattr__(self, "n_elements", gaps.size)
-        object.__setattr__(self, "h_max", float(gaps.max()))
+        # a 1-D node set is the one row of nodes[None]; any other is refused
+        gaps, h_max = _checked_gaps(nodes[None])
+        object.__setattr__(self, "gaps", gaps[0])
+        object.__setattr__(self, "n_elements", gaps.shape[1])
+        object.__setattr__(self, "h_max", float(h_max[0]))
+
+    @classmethod
+    def _of_rows(cls, nodes: np.ndarray, seeds: np.ndarray) -> Iterator[Mesh1D]:
+        """One mesh per row of a (T, n+1) float64 node array and entry of `seeds`.
+
+        Mesh j equals ``Mesh1D(nodes=nodes[j], seed=seeds[j])`` field for
+        field, but the rows are checked once, as one array, when called; the
+        meshes are built as they are taken.  `seeds` is a 1-D integer array
+        of T entries, stored as Python ints.
+        """
+        _checked_seeds(seeds)
+        gaps, h_max = _checked_gaps(nodes)
+        rows = zip(nodes, gaps, seeds.tolist(), h_max.tolist(), strict=True)
+        return (cls._unchecked(*row) for row in rows)
+
+    @classmethod
+    def _unchecked(cls, nodes: np.ndarray, gaps: np.ndarray, seed: int, h_max: float) -> Mesh1D:
+        """The mesh of fields already checked, without `__post_init__`."""
+        mesh = object.__new__(cls)
+        mesh.__dict__.update(nodes=nodes, seed=seed, gaps=gaps, n_elements=gaps.size, h_max=h_max)
+        return mesh
+
+
+def _checked_gaps(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (T, n) gaps of a (T, n+1) float64 node array, and each row's largest.
+
+    Every row must be a mesh: at least two nodes, from exactly 0 to exactly
+    1, strictly increasing (so no node is NaN); anything else is a
+    `ParameterError`.
+    """
+    if nodes.ndim != 2 or nodes.shape[1] < 2:
+        raise ParameterError("a mesh needs at least two nodes")
+    if not ((nodes[:, 0] == 0.0) & (nodes[:, -1] == 1.0)).all():
+        raise ParameterError("mesh must span exactly [0, 1]")
+    gaps = nodes[:, 1:] - nodes[:, :-1]
+    if not (gaps > 0.0).all():
+        raise ParameterError("mesh nodes must be strictly increasing")
+    gaps.flags.writeable = False
+    return gaps, gaps.max(axis=1)
+
+
+def _checked_seeds(seeds: np.ndarray) -> np.ndarray:
+    """`seeds` as uint64 keys: a 1-D array of an integer dtype, by `_key_part`'s rule."""
+    if not isinstance(seeds, np.ndarray) or seeds.ndim != 1:
+        got = f"shape {seeds.shape}" if isinstance(seeds, np.ndarray) else type(seeds).__name__
+        raise ParameterError(f"seeds must be a 1-D integer array, got {got}")
+    return _key_part(seeds, "seeds")
 
 
 def jittered_nodes(n_elements: int, jitter: float, seeds: np.ndarray) -> np.ndarray:
@@ -58,9 +103,7 @@ def jittered_nodes(n_elements: int, jitter: float, seeds: np.ndarray) -> np.ndar
     chunk at most `_BLOCK` values (one mesh per chunk when a mesh alone has
     more), so the temporaries stay in L2 cache however many meshes there are.
     """
-    seeds = _key_part(seeds, "seeds")
-    if seeds.ndim != 1:
-        raise ParameterError(f"seeds must be a 1-D integer array, got shape {seeds.shape}")
+    seeds = _checked_seeds(seeds)
     n_elements = _checked_count(n_elements, "n_elements")
     jitter = _checked_number(jitter, "jitter")
     if not 0.0 <= jitter < 0.5:

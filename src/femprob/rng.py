@@ -19,7 +19,7 @@ Every step after that is uint64 array arithmetic, which wraps modulo 2**64
 without overflow warnings, and a call with integer arguments converts its
 result to an int only at its return.  So `derive_key` takes an integer
 array of seeds or of path elements (say trial indices), `uniforms` a 1-D
-uint64 array of keys, one row each, and each element equals its scalar call.
+integer array of keys, one row each, and each element equals its scalar call.
 
 `uniforms` forms the counters of a block of draws as one uint64 add of a
 read-only table of `_BLOCK` steps ``(i + 1) * GOLDEN``, built on the first
@@ -143,17 +143,17 @@ def uniforms(
     """Return variates ``offset .. offset+count-1`` of stream `key` in [0, 1).
 
     ``uniforms(k, n)`` equals ``concatenate([uniforms(k, j), uniforms(k, n-j, j)])``
-    bit for bit, for any split point j.  A 1-D uint64 array of keys gives
+    bit for bit, for any split point j.  A 1-D integer array of keys gives
     one row per key, row j equal to ``uniforms(int(key[j]), count, offset)``.
-    An integer key is taken modulo 2**64, as `derive_key` takes its seed.
+    A key is taken modulo 2**64, as `derive_key` takes its seed.
     The variates are written into `out` when given, a float64 array of the
     result's shape, and `out` is returned.
     """
     count = _checked_count(count, "count", minimum=0)
     offset = _checked_count(offset, "offset", minimum=0)
-    if isinstance(key, np.ndarray) and (key.ndim != 1 or key.dtype != np.uint64):
-        raise ParameterError("an array of keys must be 1-D uint64")
     key = _key_part(key, "key")
+    if key.ndim > 1:
+        raise ParameterError(f"key must be an integer or a 1-D array, got shape {key.shape}")
     shape = key.shape + (count,)
     if out is None:
         out = np.empty(shape)

@@ -6,11 +6,12 @@ least squares, and measures how often the high-order family actually beats
 the low-order one, trial by trial, as the mesh size varies.
 
 Trial seeds come from `derive_key(seed, stream, n, trial, ...)`.  The
-superiority sweep derives them, and draws its meshes, as one array per
-element count and family.  Both studies pass the meshes of each element
-count and family, lazily, to one loop: it solves each mesh on its own, then
-integrates the H1 errors of a chunk of trials (as many meshes as one
-`fem.h1_errors` block holds) in one call.
+superiority sweep derives them, draws its meshes and checks them as one
+array per element count and family (`Mesh1D._of_rows`); the convergence
+study builds and checks its meshes one trial at a time.  Both pass the
+meshes of each element count and family, lazily, to one loop: it solves
+each mesh on its own, then integrates the H1 errors of a chunk of trials
+(as many meshes as one `fem.h1_errors` block holds) in one call.
 """
 
 from __future__ import annotations
@@ -215,9 +216,10 @@ def superiority_sweep(
     so callers can fit constants from exactly the data that produced the
     frequencies.  Trial t's low- and high-order meshes are
     ``build_mesh(n, jitter, derive_key(seed, 12, n, t, role))`` for roles 0
-    and 1, drawn for all trials of one (n, role) at once.  Each mesh is
-    solved on its own; the H1 errors of a block of them come from one
-    `fem.h1_errors` call, equal bit for bit to `h1_error` of each solve.
+    and 1, drawn and checked for all trials of one (n, role) at once, as one
+    node array.  Each mesh is solved on its own; the H1 errors of a block of
+    them come from one `fem.h1_errors` call, equal bit for bit to `h1_error`
+    of each solve.
     """
     n_list = _checked_n_list(n_list)
     order_low = _checked_count(order_low, "order_low")
@@ -236,10 +238,7 @@ def superiority_sweep(
             # one independent mesh per trial and family, the meshes of a
             # family drawn as the rows of one node array
             seeds = derive_key(seed, _STREAM_SUPERIORITY, n, trial_index, role)
-            meshes = (
-                Mesh1D(nodes=row, seed=trial_seed)
-                for trial_seed, row in zip(seeds.tolist(), jittered_nodes(n, jitter, seeds))
-            )
+            meshes = Mesh1D._of_rows(jittered_nodes(n, jitter, seeds), seeds)
             families.append(_family_records(problem, order, n, meshes))
         low, high = families
         wins = sum(b.error_h1 <= a.error_h1 for a, b in zip(low, high))

@@ -106,9 +106,11 @@ KEY_ARRAYS = {
     "derive_key": ("seed", lambda a: derive_key(a)),
     "derive_key_path": ("path[0]", lambda a: derive_key(7, a)),
     "mix64": ("x", lambda a: mix64(a)),
+    "uniforms": ("key", lambda a: uniforms(a, 4)),
     "jittered_nodes": ("seeds", lambda a: jittered_nodes(4, 0.3, a)),
     "jittered_nodes_no_jitter": ("seeds", lambda a: jittered_nodes(4, 0.0, a)),
     "jittered_nodes_one_element": ("seeds", lambda a: jittered_nodes(1, 0.3, a)),
+    "Mesh1D._of_rows": ("seeds", lambda a: Mesh1D._of_rows(np.array([[0.0, 1.0]]), a)),
 }
 
 SIZES = {
@@ -166,7 +168,8 @@ def test_key_array_must_have_an_integer_dtype(name, call, array):
 )
 @pytest.mark.parametrize("n, jitter", [(4, 0.3), (4, 0.0), (1, 0.3)])
 def test_jittered_nodes_seeds_must_be_a_1d_integer_array(n, jitter, seeds):
-    with pytest.raises(ParameterError, match="^seeds "):
+    # a list or an integer is not taken as one seed or many: it names the contract
+    with pytest.raises(ParameterError, match="^seeds must be a 1-D integer array, got "):
         jittered_nodes(n, jitter, seeds)
 
 

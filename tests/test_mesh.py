@@ -1,5 +1,7 @@
 """Jittered mesh generator: bounds, determinism, validation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from femprob import ParameterError, build_mesh
 from femprob import mesh as mesh_module
 from femprob.mesh import Mesh1D, jittered_nodes
+from femprob.rng import derive_key
 
 
 class TestBuildMesh:
@@ -111,3 +114,68 @@ class TestMesh1DValidation:
         mesh = Mesh1D(nodes=np.array([0.0, 0.1, 0.6, 1.0]), seed=0)
         assert mesh.h_max == 0.5
         assert mesh.n_elements == 3 and type(mesh.n_elements) is int
+
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            ([0.0], "a mesh needs at least two nodes"),
+            ([[0.0, 1.0]], "a mesh needs at least two nodes"),
+            (0.5, "a mesh needs at least two nodes"),
+            ([0.0, 0.5, float("nan")], "mesh must span exactly [0, 1]"),
+            ([0.0, float("nan"), 1.0], "mesh nodes must be strictly increasing"),
+        ],
+        ids=["one_node", "2d", "scalar", "nan_end", "nan"],
+    )
+    def test_rejects_what_is_not_a_node_row(self, nodes, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            Mesh1D(nodes=nodes, seed=0)
+
+
+def _seeds(trials, dtype):
+    # uint64 keys as the sweep derives them; as int64 about half are negative
+    return derive_key(5, np.arange(trials)).astype(dtype)
+
+
+class TestRows:
+    """`Mesh1D._of_rows` checks many node rows as one array and gives the
+    meshes that `Mesh1D` builds from each row, field for field."""
+
+    @pytest.mark.parametrize("dtype", [np.uint64, np.int64])
+    @pytest.mark.parametrize("trials", [1, 3, 200])
+    @pytest.mark.parametrize("n", [1, 2, 96])
+    @pytest.mark.parametrize("jitter", [0.0, 0.3])
+    def test_rows_equal_the_constructor(self, trials, n, jitter, dtype):
+        seeds = _seeds(trials, dtype)
+        nodes = jittered_nodes(n, jitter, seeds)
+        meshes = list(Mesh1D._of_rows(nodes, seeds))
+        assert len(meshes) == trials
+        for mesh, row, seed in zip(meshes, nodes, seeds):
+            want = Mesh1D(nodes=row, seed=seed)
+            assert mesh.nodes.tobytes() == want.nodes.tobytes()
+            assert type(mesh.seed) is int and mesh.seed == want.seed == int(seed)
+            assert mesh.gaps.tobytes() == want.gaps.tobytes()
+            assert not mesh.gaps.flags.writeable and not want.gaps.flags.writeable
+            assert type(mesh.n_elements) is int and mesh.n_elements == want.n_elements == n
+            assert type(mesh.h_max) is float and mesh.h_max == want.h_max
+
+    @pytest.mark.parametrize(
+        "node, value", [(2, None), (4, 0.999), (0, 1e-9), (2, float("nan")), (4, float("nan"))],
+        ids=["non_increasing", "right_end", "left_end", "nan", "nan_end"],
+    )
+    def test_bad_row_gets_the_constructor_message(self, node, value):
+        seeds = _seeds(3, np.uint64)
+        nodes = jittered_nodes(4, 0.3, seeds)
+        nodes[1, node] = nodes[1, node - 1] if value is None else value
+        with pytest.raises(ParameterError) as want:
+            Mesh1D(nodes=nodes[1], seed=int(seeds[1]))
+        with pytest.raises(ParameterError, match=f"^{re.escape(str(want.value))}$"):
+            Mesh1D._of_rows(nodes, seeds)
+
+    def test_rows_need_two_nodes_each(self):
+        with pytest.raises(ParameterError, match="^a mesh needs at least two nodes$"):
+            Mesh1D._of_rows(np.zeros((3, 1)), _seeds(3, np.uint64))
+
+    def test_one_seed_per_row(self):
+        nodes = jittered_nodes(4, 0.3, _seeds(3, np.uint64))
+        with pytest.raises(ValueError):
+            list(Mesh1D._of_rows(nodes, _seeds(2, np.uint64)))

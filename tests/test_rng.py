@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from femprob import rng
+from femprob import ParameterError, rng
 from femprob.rng import derive_key, mix64, uniform_at, uniforms
 
 
@@ -160,10 +160,19 @@ class TestKeyArrays:
         assert keys.tolist() == [derive_key(seed, *path) for seed in seeds]
         assert mix64(np.array(seeds, dtype=np.uint64)).tolist() == list(map(mix64, seeds))
 
-    @pytest.mark.parametrize("key", [np.zeros((2, 2), dtype=np.uint64), np.arange(3)])
-    def test_key_array_must_be_1d_uint64(self, key):
-        with pytest.raises(ValueError):
-            uniforms(key, 4)
+    def test_key_array_must_be_1d(self):
+        with pytest.raises(ParameterError, match="^key must be an integer or a 1-D array"):
+            uniforms(np.zeros((2, 2), dtype=np.uint64), 4)
+
+    @pytest.mark.parametrize(
+        "keys", [np.arange(3), np.array([-3, 2**62, 5]), np.arange(3, dtype=np.uint8)],
+        ids=["arange", "negative", "uint8"],
+    )
+    def test_key_array_of_any_integer_dtype(self, keys):
+        # taken modulo 2**64, as derive_key and jittered_nodes take keys
+        rows = uniforms(keys, 4)
+        assert rows.tobytes() == uniforms(keys.astype(np.uint64), 4).tobytes()
+        assert rows[0].tobytes() == uniforms(int(keys[0]), 4).tobytes()
 
 
 _M64 = 2**64 - 1

@@ -1,13 +1,18 @@
 """Convergence studies, constant fits, and superiority experiments."""
 
+import dataclasses
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from femprob import fem, study
+from femprob import fem, rng, study
 from femprob import mesh as mesh_module
+from femprob.mesh import Mesh1D
 from femprob.rng import derive_key
 from femprob import (
     InsufficientDataError,
@@ -164,6 +169,14 @@ class TestEmpiricalSuperiority:
         assert all(p.h_mean > 0 for p in points)
 
 
+def _bits(records):
+    """Every field of every record, each float by its exact hex form."""
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r))
+        for r in records
+    ]
+
+
 def per_trial_sweep(problem, order_low, order_high, n_list, trials, jitter, seed):
     """Reference: the scalar key, mesh and solve chain of every trial, one by one."""
     records, wins = [], []
@@ -209,6 +222,43 @@ class TestSweepArrays:
     def test_bad_mesh_parameters_rejected(self, n_list, jitter):
         with pytest.raises(ParameterError):
             superiority_sweep(SINE, 1, 2, n_list, 3, jitter, seed=1)
+
+    def test_meshes_are_checked_per_family_not_per_trial(self, monkeypatch):
+        calls = []
+        post_init = Mesh1D.__post_init__
+
+        def counted(mesh):
+            calls.append(mesh.seed)
+            post_init(mesh)
+
+        monkeypatch.setattr(Mesh1D, "__post_init__", counted)
+        superiority_sweep(SINE, 1, 2, [4, 8], 5, 0.3, seed=3)
+        assert calls == []
+        build_mesh(4, 0.3, seed=3)  # the constructor is still counted
+        assert calls == [3]
+
+    # order pairs from 1..10, up to three element counts of at most 40; with
+    # 7 values per draw block every family's meshes are drawn in several
+    # chunks, and every stream of more than 7 draws in several blocks
+    @pytest.mark.parametrize("block", [None, 7])
+    @given(
+        st.lists(st.integers(1, 10), min_size=2, max_size=2, unique=True).map(sorted),
+        st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True).map(sorted),
+        st.integers(1, 12),
+        st.floats(0.0, 0.5, exclude_max=True),
+        st.integers(-(2**70), 2**70),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_records_equal_the_public_chain(self, block, orders, n_list, trials, jitter, seed):
+        want_records, want_wins = per_trial_sweep(SINE24, *orders, n_list, trials, jitter, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(rng, "_BLOCK", block)
+                patch.setattr(mesh_module, "_BLOCK", block)
+                patch.setattr(rng, "_steps", functools.cache(rng._steps.__wrapped__))
+            points, records = superiority_sweep(SINE24, *orders, n_list, trials, jitter, seed)
+        assert _bits(records) == _bits(want_records)
+        assert [p.estimate.p_hat for p in points] == [w / trials for w in want_wins]
 
 
 def per_trial_study(problem, order, n_list, jitter, trials, seed):
