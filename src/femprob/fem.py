@@ -10,18 +10,21 @@ supported; the quadrature orders are fixed so that integration error sits
 well below discretization error across that range (k+3 points for the
 loads; k+5 points for error norms).
 
-`assemble_solve` and `h1_errors` share one block walker, `_blocks`: a
-block holds about `rng._BLOCK` quadrature points, so every per-point
-array stays in L2 cache, and is as many whole meshes as fit or else whole
+`assemble_solve` and `h1_errors` walk their quadrature points with the
+package's one tiling rule, `rng._blocks`, at this module's `_BLOCK`: a
+block holds about `_BLOCK` quadrature points, so every per-point array
+stays in L2 cache, and is as many whole meshes as fit or else whole
 elements of one mesh.  `assemble_solve` walks one mesh; `h1_errors`
 integrates the errors of many solves of one order, given as arrays with
 one row per mesh, and `h1_error` is its one-mesh call.  A block yields
 per-element results only (loads, weighted squared errors); the global
 reductions (the solve's running sums, the sums of the error integrals over
-elements) run once per mesh over all its elements afterwards.  Each
-element's result comes from the same operations in any block, so every
-output is bit-identical for any block size and whatever other meshes share
-the block.
+elements) run once per mesh over all its elements afterwards.  Reruns at
+one block size are byte-identical, and a mesh's results do not depend on
+which other meshes share its block.  Another block size may move the last
+bits: a block of one element takes numpy's one-row path through the
+products, whose rounding can differ from the many-row path, and blocks of
+two or three elements can differ too.
 
 `galerkin_residual` checks a solve against the variational identity in the
 same Lobatto basis: the loads through the solve's own quadrature, the
@@ -37,9 +40,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError, _checked_count
-from .mesh import Mesh1D
+from .mesh import Mesh1D, _checked_gaps
 from .problems import Problem1D
-from .rng import _BLOCK
+from .rng import _blocks, _rows_per_block
 
 __all__ = ["FemSolution", "assemble_solve", "h1_error", "h1_errors", "galerkin_residual"]
 
@@ -47,6 +50,12 @@ MAX_ORDER = 10
 
 _ASSEMBLY_EXTRA_POINTS = 3  # ceil((2k+2)/2) + 2 == k + 3 Gauss points
 _ERROR_EXTRA_POINTS = 5  # k + 5 Gauss points for the H1 error integrals
+
+# quadrature points per block: 2**15 float64 values are 256 KiB per array,
+# so every pass over a block stays in L2 (2**13..2**17 measured; 2**15 was
+# fastest).  Unlike the draws, the rounding of the products depends on the
+# block shape, so this size is the quadrature's own, not `rng`'s.
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -140,28 +149,6 @@ def _reference_element(order: int, extra_points: int):
     return point_map, weights, values, derivs
 
 
-def _meshes_per_block(n_elements: int, points: int) -> int:
-    """How many n-element meshes of `points` quadrature points per element one
-    block holds: as many as fit in `_BLOCK`, and at least one."""
-    return max(1, _BLOCK // max(1, n_elements * points))  # n < 1 is the mesh's to reject
-
-
-def _blocks(n_trials: int, n_elements: int, points: int):
-    """Yield the (trials, elements) slices of blocks of about `_BLOCK` points.
-
-    For T meshes of n elements with `points` quadrature points each: whole
-    meshes, as many as fit, when one mesh fits; otherwise one mesh at a
-    time, in blocks of whole elements, as many as fit.  Each (trial,
-    element) pair lies in exactly one block, and the blocks come in order.
-    """
-    meshes = _meshes_per_block(n_elements, points)
-    # >= 2184 elements at k + 5 <= 15 points; the slice takes all of a mesh that fits
-    elements = _BLOCK // points
-    for start in range(0, n_trials, meshes):
-        for first in range(0, n_elements, elements):
-            yield slice(start, start + meshes), slice(first, first + elements)
-
-
 def _points(lengths: np.ndarray, lefts: np.ndarray, point_map: np.ndarray) -> np.ndarray:
     """Quadrature points of elements of these lengths and left ends, one row each.
 
@@ -179,7 +166,7 @@ def _element_loads(mesh: Mesh1D, k: int, problem: Problem1D) -> np.ndarray:
     point_map, weights, values, _ = _reference_element(k, _ASSEMBLY_EXTRA_POINTS)
     lengths, lefts = mesh.gaps, mesh.nodes[:-1]
     loads = np.empty((mesh.n_elements, k + 1))
-    for _, block in _blocks(1, mesh.n_elements, point_map.shape[1]):
+    for _, block in _blocks(1, mesh.n_elements, point_map.shape[1], _BLOCK):
         x_quad = _points(lengths[block], lefts[block], point_map)
         f_quad = np.asarray(problem.source(x_quad), dtype=np.float64)
         if not np.isfinite(f_quad).all():
@@ -235,7 +222,7 @@ def _trials_per_block(n_elements: int, order: int) -> int:
     gets one block per call, so one call of each exact-solution callable
     per call.
     """
-    return _meshes_per_block(n_elements, _fem_order(order) + _ERROR_EXTRA_POINTS)
+    return _rows_per_block(n_elements, _fem_order(order) + _ERROR_EXTRA_POINTS, _BLOCK)
 
 
 def h1_errors(
@@ -248,15 +235,17 @@ def h1_errors(
     """Full H1 norms and H1 seminorms of the errors of T solves of one order.
 
     Row t of `nodes` (T, n + 1), `slopes` (T, n) and `bubbles` (T, n, k - 1)
-    is one degree-k solve on an n-element mesh, as in `FemSolution`; the
-    result is two arrays of shape (T,).  Both integrals use k+5 Gauss points
+    is one degree-k solve on an n-element mesh, as in `FemSolution`, and
+    every node row is checked by the rule of a `Mesh1D` (`mesh._checked_gaps`),
+    which also gives the element lengths; the result is two arrays of shape
+    (T,).  Both integrals use k+5 Gauss points
     per element, enough to keep the quadrature contribution orders of
     magnitude below the error itself for smooth solutions.  u_h' is taken
     from the slopes, not from vertex value differences, which would add a
     rounding floor on fine meshes.
 
     The squared errors are integrated per element, block by block (see
-    `_blocks`), from u_h's coefficients of that block, sliced from
+    `rng._blocks`), from u_h's coefficients of that block, sliced from
     one running sum of the vertex values per mesh; the sums over elements
     run once per mesh over all of them.  The products run stacked, one
     BLAS call per mesh of the block, so each mesh's errors equal its own
@@ -275,13 +264,13 @@ def h1_errors(
     if n_elements < 1:
         raise ParameterError("a mesh needs at least one element")
     point_map, weights, values, derivs = _reference_element(k, _ERROR_EXTRA_POINTS)
-    lengths = nodes[:, 1:] - nodes[:, :-1]
+    lengths, _ = _checked_gaps(nodes)
     vertex_values = np.zeros((n_trials, n_elements + 1))
     np.cumsum(slopes * lengths, axis=1, out=vertex_values[:, 1:])
 
     l2_elements = np.empty((n_trials, n_elements))
     semi_elements = np.empty((n_trials, n_elements))
-    for trials, elements in _blocks(n_trials, n_elements, point_map.shape[1]):
+    for trials, elements in _blocks(n_trials, n_elements, point_map.shape[1], _BLOCK):
         block_lengths = lengths[trials, elements]
         rows = block_lengths.shape
         x_quad = _points(block_lengths, nodes[trials, :-1][:, elements], point_map)

@@ -13,7 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ParameterError, _checked_count, _checked_integer, _checked_number
-from .rng import _BLOCK, _key_part, derive_key, uniforms
+from .rng import _key_part, derive_key, uniforms
 
 __all__ = ["Mesh1D", "build_mesh", "jittered_nodes"]
 
@@ -99,24 +99,27 @@ def jittered_nodes(n_elements: int, jitter: float, seeds: np.ndarray) -> np.ndar
     Row j is ``build_mesh(n_elements, jitter, int(seeds[j])).nodes``, bit for
     bit; `seeds` is a 1-D array of an integer dtype, taken modulo 2**64 as
     `derive_key` takes it, and checked also when no node moves.  The draws
-    for many meshes come from one `uniforms` call per chunk of meshes, each
-    chunk at most `_BLOCK` values (one mesh per chunk when a mesh alone has
-    more), so the temporaries stay in L2 cache however many meshes there are.
+    of all the meshes come from one `uniforms` call, straight into the
+    interior columns of the node array, which `uniforms` fills in blocks
+    that stay in L2 cache however many meshes there are; the offsets are
+    formed in place there, then the uniform nodes added.
     """
     seeds = _checked_seeds(seeds)
     n_elements = _checked_count(n_elements, "n_elements")
     jitter = _checked_number(jitter, "jitter")
     if not 0.0 <= jitter < 0.5:
         raise ParameterError(f"jitter must lie in [0, 0.5), got {jitter!r}")
-    nodes = np.empty((len(seeds), n_elements + 1))
-    nodes[:] = np.linspace(0.0, 1.0, n_elements + 1)
+    uniform = np.linspace(0.0, 1.0, n_elements + 1)
+    nodes = np.tile(uniform, (len(seeds), 1))
     if n_elements > 1 and jitter > 0.0:
-        h_uniform = 1.0 / n_elements
-        keys = derive_key(seeds)
-        rows = max(1, _BLOCK // (n_elements - 1))
-        for start in range(0, len(seeds), rows):
-            draws = uniforms(keys[start:start + rows], n_elements - 1)
-            nodes[start:start + rows, 1:-1] += (2.0 * draws - 1.0) * jitter * h_uniform
+        # (2u - 1) * jitter * h_u, one product at a time as written, plus
+        # the uniform node (IEEE addition commutes, so the order is free)
+        offsets = uniforms(derive_key(seeds), n_elements - 1, out=nodes[:, 1:-1])
+        offsets *= 2.0
+        offsets -= 1.0
+        offsets *= jitter
+        offsets *= 1.0 / n_elements
+        offsets += uniform[1:-1]
     return nodes
 
 

@@ -11,7 +11,8 @@ Three routes to the same probability, none of which shares code with
   indicator over the same rectangle; works on both sides of the crossover.
 * `mc_estimate` - direct Monte Carlo sampling of the two uniform error
   variables on a counter-based stream, reproducible under any trial split;
-  the trials are drawn block by block into one reused buffer per stream.
+  both streams of a block of trials are drawn by one `uniforms` call into
+  one reused buffer.
 
 `conditional_identity_check` verifies the conditional-probability identity
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParameterError, _checked_count, _checked_integer
 from .laws import ElementPair, _checked_h
-from .rng import _BLOCK, derive_key, uniforms
+from .rng import _blocks, _rows_per_block, derive_key, uniforms
 
 __all__ = [
     "McEstimate",
@@ -100,9 +101,9 @@ def _streams(pair: ElementPair, h: float, seed: int) -> tuple[tuple[int, float],
 def draw_error_samples(
     pair: ElementPair, h: float, n_trials: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized draws (x_low, x_high) of trials 0..n_trials-1."""
+    """Vectorized draws (x_low, x_high) of trials 0..n_trials-1, as one block."""
     n_trials = _checked_count(n_trials, "n_trials")
-    return tuple(uniforms(key, n_trials) * top for key, top in _streams(pair, h, seed))
+    return tuple(next(_scaled_blocks(n_trials, n_trials, *_streams(pair, h, seed))))
 
 
 def trapezium_ratio(pair: ElementPair, h: float) -> float:
@@ -127,24 +128,26 @@ def trapezium_ratio(pair: ElementPair, h: float) -> float:
     return trapezium / rectangle
 
 
-def _scaled_blocks(n_trials: int, step: int, *streams: tuple[int, float]):
-    """Yield, block by block, each stream's draws scaled by its interval top.
+def _scaled_blocks(n_trials: int, chunk_size: int | None, *streams: tuple[int, float]):
+    """Yield, block by block, the streams' draws scaled by their interval tops.
 
-    `streams` are (key, top) pairs; every block covers the same `step`
-    trial indices of all of them (the last block may be shorter), so a
-    block's working set stays small while the values match one long draw.
-    Each stream draws every block into the one buffer it gets per call, so
-    a yielded block is overwritten by the next.
+    `streams` are (key, top) pairs.  A block is one (streams x trials)
+    array of the same trial indices of every stream, drawn by one
+    `uniforms` call: `chunk_size` trials, or when it is None as many as
+    fit in one `rng` draw block of 32,768 values across the streams (the
+    last block may be shorter), so a block's working set stays small while
+    the values match one long draw.  Every block is drawn into the one
+    buffer of the call, so a yielded block is overwritten by the next.
     """
-    buffers = [np.empty(min(step, n_trials)) for _ in streams]
-    for offset in range(0, n_trials, step):
-        count = min(step, n_trials - offset)
-        blocks = []
-        for (key, top), buffer in zip(streams, buffers):
-            x = uniforms(key, count, offset, out=buffer[:count])
-            x *= top
-            blocks.append(x)
-        yield blocks
+    keys = np.array([key for key, _ in streams], dtype=np.uint64)
+    tops = np.array([[top] for _, top in streams])
+    size = None if chunk_size is None else chunk_size * len(keys)
+    buffer = np.empty((len(keys), min(n_trials, _rows_per_block(len(keys), size=size))))
+    for trials, _ in _blocks(n_trials, len(keys), size=size):
+        count = trials.stop - trials.start
+        x = uniforms(keys, count, trials.start, out=buffer[:, :count])
+        x *= tops
+        yield x
 
 
 def mc_estimate(
@@ -156,20 +159,20 @@ def mc_estimate(
 ) -> McEstimate:
     """Monte Carlo frequency of "high-order error <= low-order error".
 
-    Trials are drawn and counted in blocks of `_BLOCK` (an L2-sized
-    working set), or of `chunk_size` when given, which then bounds
-    memory; every block is drawn into the same two buffers and compared
-    into the same mask.  The counter-based stream makes any block size
-    (or a parallel split along trial indices) return bit-identical
-    results.  Ties count as a win for the high-order family, matching the
-    non-strict event definition.
+    Trials are drawn and counted in blocks of `_scaled_blocks`: 32,768
+    values across the two streams (an L2-sized working set), or
+    `chunk_size` trials when given, which then bounds memory.  Both
+    streams of a block come from one `uniforms` call into the same buffer.
+    The counter-based stream makes any block size (or a parallel split
+    along trial indices) return bit-identical results.  Ties count as a
+    win for the high-order family, matching the non-strict event
+    definition.
     """
     n_trials = _checked_count(n_trials, "n_trials")
-    step = _BLOCK if chunk_size is None else _checked_count(chunk_size, "chunk_size")
-    wins = np.empty(min(step, n_trials), dtype=bool)
+    chunk_size = None if chunk_size is None else _checked_count(chunk_size, "chunk_size")
     hits = 0
-    for x_low, x_high in _scaled_blocks(n_trials, step, *_streams(pair, h, seed)):
-        hits += int(np.count_nonzero(np.less_equal(x_high, x_low, out=wins[:x_low.size])))
+    for x_low, x_high in _scaled_blocks(n_trials, chunk_size, *_streams(pair, h, seed)):
+        hits += int(np.count_nonzero(x_high <= x_low))
     return McEstimate(p_hat=hits / n_trials, n_trials=n_trials, seed=seed)
 
 
@@ -199,7 +202,7 @@ def conditional_identity_check(
     low, high = _streams(pair, h, derive_key(seed, _STREAM_CONDITIONAL))
     top_low, top_high = low[1], high[1]
     n_band = n_wins = n_band_and_win = 0
-    for band_low, x_low, x_high in _scaled_blocks(n_trials, _BLOCK, band, low, high):
+    for band_low, x_low, x_high in _scaled_blocks(n_trials, None, band, low, high):
         n_band += int(np.count_nonzero((band_low >= top_high) & (band_low <= top_low)))
         wins = x_high <= x_low
         n_wins += int(np.count_nonzero(wins))

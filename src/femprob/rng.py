@@ -21,11 +21,18 @@ result to an int only at its return.  So `derive_key` takes an integer
 array of seeds or of path elements (say trial indices), `uniforms` a 1-D
 integer array of keys, one row each, and each element equals its scalar call.
 
-`uniforms` forms the counters of a block of draws as one uint64 add of a
-read-only table of `_BLOCK` steps ``(i + 1) * GOLDEN``, built on the first
-draw, and ``key + (offset + first) * GOLDEN``, the block's start; longer
-streams are drawn block by block.  Its `out` argument takes a float64
-destination, so a loop over blocks can draw each one into the same buffer.
+`_blocks` is the package's one tiling rule: it cuts a (rows x width)
+array into blocks of about `_BLOCK` values, whole rows when a row fits,
+else the columns of one row at a time.  `uniforms` walks its (keys x
+counters) output with it, so a call with any number of keys and any count
+holds at most one block of counters, and its callers (`mesh`, `oracle`)
+cut no blocks of their own.  The counters of a block are one uint64 add
+of a read-only table of ``(i + 1) * GOLDEN`` steps, built for the block
+size on the first draw, and ``key + (offset + first) * GOLDEN``, the
+block's start.  Its `out` argument takes a float64 destination, which may
+be a strided view (say the interior columns of a node array), so a caller
+draws straight into the array it fills.  `fem` walks its quadrature
+points with `_blocks` too, at its own block size.
 
 `uniform_at` forms the counter of one draw with Python ints; it is the
 reference that the array path is tested against.
@@ -55,11 +62,33 @@ _INV_2_53 = 1.0 / (1 << 53)
 _GOLDEN_U64, _MIX_A_U64, _MIX_B_U64 = map(np.uint64, (_GOLDEN, _MIX_A, _MIX_B))
 _ONE_U64, _U11, _U27, _U30, _U31 = map(np.uint64, (1, 11, 27, 30, 31))
 
-# values per block of the draw, mesh, Monte Carlo and quadrature loops:
-# 2**15 float64 values are 256 KiB per array, so every pass over a block
-# stays in L2 (2**13..2**18 measured for the Monte Carlo loops and
-# 2**13..2**17 for fem's quadrature points; 2**15 was fastest)
+# draws per block, across all the keys of a call: 2**15 float64 values are
+# 256 KiB per array, so every pass over a block stays in L2 (2**13..2**18
+# measured for the Monte Carlo loops; 2**15 was fastest)
 _BLOCK = 1 << 15
+
+
+def _rows_per_block(width: int, unit: int = 1, size: int | None = None) -> int:
+    """How many rows of `width` cells of `unit` values one block of `size`
+    values (`_BLOCK`, read at call time, when not given) holds: as many as
+    fit, and at least one."""
+    return max(1, (_BLOCK if size is None else size) // max(1, width * unit))
+
+
+def _blocks(rows: int, width: int, unit: int = 1, size: int | None = None):
+    """Yield the clipped (rows, columns) slices of blocks of about `size` values.
+
+    For a (rows x width) array of cells of `unit` values each: whole rows,
+    as many as fit, when one row fits in `size` values (`_BLOCK`, read at
+    call time, when not given); otherwise one row at a time, in blocks of
+    as many columns as fit.  Each cell lies in exactly one block, the
+    blocks come in order, and no slice reaches past the array.
+    """
+    # a block of columns holds as many cells as rows of one cell would
+    step, columns = _rows_per_block(width, unit, size), _rows_per_block(1, unit, size)
+    for start in range(0, rows, step):
+        for first in range(0, width, columns):
+            yield slice(start, min(start + step, rows)), slice(first, min(first + columns, width))
 
 
 def _finalize(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -126,12 +155,13 @@ def derive_key(seed: int | np.ndarray, *path: int | np.ndarray) -> int | np.ndar
 
 
 @cache
-def _steps() -> np.ndarray:
-    """Read-only counter steps ``(i + 1) * GOLDEN`` mod 2**64 for i < `_BLOCK`.
+def _steps(size: int) -> np.ndarray:
+    """Read-only counter steps ``(i + 1) * GOLDEN`` mod 2**64 for i < `size`.
 
-    Built on the first draw, not at import, and shared by every draw after.
+    Built on the first draw at each block size, not at import, and shared
+    by every draw after.
     """
-    steps = np.arange(1, _BLOCK + 1, dtype=np.uint64)
+    steps = np.arange(1, size + 1, dtype=np.uint64)
     steps *= _GOLDEN_U64
     steps.flags.writeable = False
     return steps
@@ -146,8 +176,10 @@ def uniforms(
     bit for bit, for any split point j.  A 1-D integer array of keys gives
     one row per key, row j equal to ``uniforms(int(key[j]), count, offset)``.
     A key is taken modulo 2**64, as `derive_key` takes its seed.
-    The variates are written into `out` when given, a float64 array of the
-    result's shape, and `out` is returned.
+    The variates are written into `out` when given, a float64 array (or
+    view) of the result's shape, and `out` is returned.  The rows and
+    counters are drawn in the blocks of `_blocks`, so the work arrays hold
+    at most `_BLOCK` values however many keys and draws there are.
     """
     count = _checked_count(count, "count", minimum=0)
     offset = _checked_count(offset, "offset", minimum=0)
@@ -159,17 +191,20 @@ def uniforms(
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise ParameterError(f"out must be a float64 array of shape {shape}")
-    steps = _steps()
-    for first in range(0, count, _BLOCK):
-        base = _key_part((offset + first) * _GOLDEN, "offset")
-        z = steps[:count - first] + (key[..., None] + base)
+    # one row per key, a lone key as one row
+    keys, rows = key.reshape(-1, 1), out if key.ndim else out[None]
+    steps = _steps(_BLOCK)
+    for row, column in _blocks(len(keys), count, size=steps.size):
+        base = _key_part((offset + column.start) * _GOLDEN, "offset")
+        z = steps[:column.stop - column.start] + (keys[row] + base)
         # the block of `out` doubles as the scratch array: every xor-shift
         # writes its shifted copy into its uint64 view, and the final scaling
-        # fills it as float64 (z < 2**53 there, so the conversion is exact)
-        block = out[..., first:first + z.shape[-1]]
+        # fills it as float64 (z < 2**53 there, so the conversion is exact,
+        # and from int64 it is faster than from uint64)
+        block = rows[row, column]
         _finalize(z, block.view(np.uint64))
         z >>= _U11
-        np.multiply(z, _INV_2_53, out=block)
+        np.multiply(z.view(np.int64), _INV_2_53, out=block)
     return out
 
 

@@ -22,6 +22,7 @@ from femprob import (
     fem,
     get_problem,
     h1_error,
+    rng,
 )
 from femprob.fem import FemSolution, galerkin_residual
 
@@ -329,6 +330,22 @@ class TestH1Errors:
         with pytest.raises(ParameterError, match="at least one element"):
             fem.h1_errors(2, np.zeros((3, 1)), np.zeros((3, 0)), np.zeros((3, 0, 1)), SINE)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0.0, 0.7, 0.5, 1.0], "^mesh nodes must be strictly increasing$"),
+            ([0.2, 0.5, 0.7, 0.9], r"^mesh must span exactly \[0, 1\]$"),
+            ([0.0, np.nan, 0.5, 1.0], "^mesh nodes must be strictly increasing$"),
+        ],
+        ids=["unsorted", "short", "nan"],
+    )
+    def test_node_rows_checked_by_the_mesh_rule(self, row, message):
+        # the element lengths come from the rule that checks a `Mesh1D`, so a
+        # row that is no mesh is refused as one, not integrated or blamed on
+        # the problem
+        with pytest.raises(ParameterError, match=message):
+            fem.h1_errors(1, np.array([row]), np.zeros((1, 3)), np.zeros((1, 3, 0)), SINE)
+
 
 def counting(problem):
     """`problem` with call counters on its three callables."""
@@ -382,25 +399,9 @@ class TestElementBlocks:
             want = mesh.nodes[:-1, None] + mesh.gaps[:, None] * points
             got = np.concatenate([
                 fem._points(mesh.gaps[block], mesh.nodes[:-1][block], point_map)
-                for _, block in fem._blocks(1, n, points.size)
+                for _, block in rng._blocks(1, n, points.size, fem._BLOCK)
             ])
             assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("points", [1, 15])
-    @pytest.mark.parametrize("n_trials", [0, 1, 5])
-    def test_blocks_tile_every_trial_and_element_once_in_order(self, n_trials, points):
-        # one element, a mesh of exactly one block, one element above it
-        # (an element block plus a lone element), and meshes that leave
-        # the last block of trials or of elements part-filled
-        per_block = fem._BLOCK // points
-        for n in (1, 3, per_block, per_block + 1, 2 * per_block + 5):
-            cells = np.arange(n_trials * n).reshape(n_trials, n)
-            visited = []
-            for trials, elements in fem._blocks(n_trials, n, points):
-                block = cells[trials, elements]
-                assert 0 < block.size * points <= fem._BLOCK
-                visited.extend(block.ravel().tolist())
-            assert visited == list(range(n_trials * n))
 
     def test_peak_memory_of_a_large_solve(self):
         # numpy reports its buffers to tracemalloc.  At n = 65536, k = 10,

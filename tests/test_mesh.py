@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femprob import ParameterError, build_mesh
-from femprob import mesh as mesh_module
+from femprob import rng
 from femprob.mesh import Mesh1D, jittered_nodes
 from femprob.rng import derive_key
 
@@ -74,7 +74,7 @@ class TestJitteredNodes:
     @pytest.mark.parametrize("jitter", [0.0, 0.3])
     def test_rows_equal_build_mesh(self, n, jitter, block, monkeypatch):
         if block is not None:
-            monkeypatch.setattr(mesh_module, "_BLOCK", block)
+            monkeypatch.setattr(rng, "_BLOCK", block)
         seeds = [0, 1, 2**63, 2**64 - 1, 12345, 7, 8]
         nodes = jittered_nodes(n, jitter, np.array(seeds, dtype=np.uint64))
         assert nodes.shape == (len(seeds), n + 1)

@@ -1,11 +1,14 @@
 """Counter-based generator: determinism, split independence, distribution."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from femprob import ParameterError, rng
+from femprob import ElementPair, ParameterError, mc_estimate, rng
+from femprob.mesh import jittered_nodes
 from femprob.rng import derive_key, mix64, uniform_at, uniforms
 
 
@@ -82,6 +85,94 @@ class TestDeterminism:
             rows = uniforms(keys, count)
             assert rows[0].tobytes() == whole.tobytes()
             assert rows[1].tobytes() == uniforms(11, count).tobytes()
+
+
+    def test_step_table_follows_the_block_size(self, monkeypatch):
+        # a table built while the block size differed must not cut a later
+        # draw short: every block is drawn from a table of its own size
+        rng._steps.cache_clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(rng, "_BLOCK", 7)
+            assert uniforms(1, 3).tolist() == [uniform_at(1, i) for i in range(3)]
+        assert uniforms(5, 20).tolist() == [uniform_at(5, i) for i in range(20)]
+
+    def test_many_keys_hold_one_block_of_counters(self):
+        # numpy reports its buffers to tracemalloc: the (keys x counters)
+        # work arrays of one call span one block, not the whole output
+        uniforms(0, 1)  # builds the counter table, which lives as long as the process
+        keys = np.arange(10_000)
+        tracemalloc.start()
+        try:
+            out = uniforms(keys, 96)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2**20
+
+
+def finalized_shapes(monkeypatch):
+    """Shapes of the 2-D counter blocks `uniforms` hands to the finalizer."""
+    shapes = []
+    finalize = rng._finalize
+
+    def recorded(z, scratch=None):
+        if z.ndim == 2:  # key derivations are 0-d or 1-D
+            shapes.append(z.shape)
+        return finalize(z, scratch)
+
+    monkeypatch.setattr(rng, "_finalize", recorded)
+    return shapes
+
+
+class TestBlocks:
+    """`_blocks`, the one tiling rule of the draws (rows of keys, columns of
+    counters) and of fem's quadrature (rows of meshes, columns of elements)."""
+
+    @pytest.mark.parametrize("points", [1, 15])
+    @pytest.mark.parametrize("n_trials", [0, 1, 5])
+    def test_blocks_tile_every_trial_and_element_once_in_order(self, n_trials, points):
+        # one element, a mesh of exactly one block, one element above it
+        # (an element block plus a lone element), and meshes that leave
+        # the last block of trials or of elements part-filled; at the
+        # default size, read at call time, and at given sizes
+        for size in (None, 7 * points, 700):
+            block_size = rng._BLOCK if size is None else size
+            per_block = block_size // points
+            for n in (1, 3, per_block, per_block + 1, 2 * per_block + 5):
+                cells = np.arange(n_trials * n).reshape(n_trials, n)
+                visited = []
+                for trials, elements in rng._blocks(n_trials, n, points, size):
+                    # clipped: no slice reaches past the array
+                    assert 0 <= trials.start < trials.stop <= n_trials
+                    assert 0 <= elements.start < elements.stop <= n
+                    block = cells[trials, elements]
+                    assert 0 < block.size * points <= block_size
+                    visited.extend(block.ravel().tolist())
+                assert visited == list(range(n_trials * n))
+
+    def test_rows_per_block(self):
+        assert rng._rows_per_block(96) == rng._BLOCK // 96
+        assert rng._rows_per_block(96, 2, 1000) == 5
+        assert rng._rows_per_block(rng._BLOCK + 1) == rng._rows_per_block(3, 15, 7) == 1
+
+    def test_patching_rng_block_alone_reblocks_every_draw(self, monkeypatch):
+        # uniforms, jittered_nodes and mc_estimate take their block size
+        # from `rng._BLOCK` alone, and give the same bytes at any size
+        pair = ElementPair.from_constants(1.0, 1, 2.0, 2)
+        keys = np.array([3, 2**64 - 1, 12345, 8], dtype=np.uint64)
+        draws = [
+            lambda: uniforms(keys, 30, 5).tobytes(),
+            lambda: jittered_nodes(12, 0.3, keys).tobytes(),
+            lambda: mc_estimate(pair, 0.25, 101, 42).p_hat,
+        ]
+        want = [draw() for draw in draws]
+        shapes = finalized_shapes(monkeypatch)
+        monkeypatch.setattr(rng, "_BLOCK", 7)
+        for draw, value in zip(draws, want):
+            shapes.clear()
+            assert draw() == value
+            assert len(shapes) > 1 and max(rows * width for rows, width in shapes) <= 7
+        assert shapes == [(2, 3)] * 33 + [(2, 2)]  # mc_estimate: 3 trials of 2 streams a block
 
 
 class TestDerivation:

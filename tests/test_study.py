@@ -1,7 +1,6 @@
 """Convergence studies, constant fits, and superiority experiments."""
 
 import dataclasses
-import functools
 import math
 import tracemalloc
 
@@ -11,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femprob import fem, rng, study
-from femprob import mesh as mesh_module
 from femprob.mesh import Mesh1D
 from femprob.rng import derive_key
 from femprob import (
@@ -200,23 +198,26 @@ class TestSweepArrays:
     def test_records_equal_the_per_trial_chain(self, jitter, block, monkeypatch):
         n_list, trials = [1, 2, 97], 9
         want_records, want_wins = per_trial_sweep(SINE, 1, 3, n_list, trials, jitter, 2026)
-        calls = []
+        shapes = []
         if block is not None:
-            # at most 4 draws per call: chunks of 4, 4 and 1 meshes at n = 2,
-            # one mesh per call at n = 97, where a mesh alone has 96 draws
-            monkeypatch.setattr(mesh_module, "_BLOCK", block)
-            draw = mesh_module.uniforms
+            # at most 4 draws per block of `uniforms`: blocks of 4, 4 and 1
+            # meshes at n = 2, and 24 blocks of 4 draws per mesh at n = 97,
+            # where a mesh alone has 96 draws; the key derivations are 0-d
+            # or 1-D, the counter blocks of `uniforms` 2-D
+            monkeypatch.setattr(rng, "_BLOCK", block)
+            finalize = rng._finalize
 
-            def counted(keys, count):
-                calls.append(keys.size)
-                return draw(keys, count)
+            def counted(z, scratch=None):
+                if z.ndim == 2:
+                    shapes.append(z.shape)
+                return finalize(z, scratch)
 
-            monkeypatch.setattr(mesh_module, "uniforms", counted)
+            monkeypatch.setattr(rng, "_finalize", counted)
         points, records = superiority_sweep(SINE, 1, 3, n_list, trials, jitter, seed=2026)
         assert records == want_records
         assert [p.estimate.p_hat for p in points] == [w / trials for w in want_wins]
         if block is not None and jitter > 0.0:
-            assert calls == [4, 4, 1] * 2 + [1] * 2 * trials
+            assert shapes == [(4, 1), (4, 1), (1, 1)] * 2 + [(1, 4)] * 24 * 2 * trials
 
     @pytest.mark.parametrize("n_list, jitter", [([0, 4], 0.3), ([4], 0.5), ([4], -0.1)])
     def test_bad_mesh_parameters_rejected(self, n_list, jitter):
@@ -238,8 +239,9 @@ class TestSweepArrays:
         assert calls == [3]
 
     # order pairs from 1..10, up to three element counts of at most 40; with
-    # 7 values per draw block every family's meshes are drawn in several
-    # chunks, and every stream of more than 7 draws in several blocks
+    # 7 values per draw block, patched in `rng` alone, every family's meshes
+    # are drawn in several blocks of rows, and every mesh of more than 7
+    # draws in several blocks of one row
     @pytest.mark.parametrize("block", [None, 7])
     @given(
         st.lists(st.integers(1, 10), min_size=2, max_size=2, unique=True).map(sorted),
@@ -254,8 +256,6 @@ class TestSweepArrays:
         with pytest.MonkeyPatch.context() as patch:
             if block is not None:
                 patch.setattr(rng, "_BLOCK", block)
-                patch.setattr(mesh_module, "_BLOCK", block)
-                patch.setattr(rng, "_steps", functools.cache(rng._steps.__wrapped__))
             points, records = superiority_sweep(SINE24, *orders, n_list, trials, jitter, seed)
         assert _bits(records) == _bits(want_records)
         assert [p.estimate.p_hat for p in points] == [w / trials for w in want_wins]
