@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -82,7 +83,9 @@ class _Finite(click.FloatRange):
 def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
     """Parse `key=value` lines into the command's `default_map`.
 
-    `#` comments and blank lines are ignored.  The keys are the long flag
+    Blank lines and comments are ignored: a comment starts at a `#` that
+    begins the line or follows whitespace, so `h_max=1  # note` reads `1`
+    while `out=run#1.csv` keeps its `#`.  The keys are the long flag
     names of the running subcommand (`-` or `_` spelled); click converts and
     checks each value exactly as it would the flag, and an explicit flag
     still wins.  An unknown key, or one given twice, is rejected rather than
@@ -98,7 +101,7 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     known = {other.name for other in ctx.command.params if other is not param}
     values: dict[str, str] = {}
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = re.sub(r"(^|\s)#.*", "", raw).strip()
         if not line:
             continue
         if "=" not in line:

@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError, _checked_count
-from .mesh import Mesh1D, _checked_gaps
+from .mesh import Mesh1D, _checked_gaps, _described
 from .problems import Problem1D
 from .rng import _blocks, _rows_per_block
 
@@ -65,7 +65,9 @@ class FemSolution:
     ``slopes[e]`` is the slope of u_h's vertex interpolant on element e
     (the mean of u_h' there); ``bubbles[e, j - 2]`` is the coefficient of
     bubble j.  Vertex values follow from u(0) = 0 as a running sum of
-    slope times element length.
+    slope times element length.  The order and the two arrays are checked
+    by the rule of `_checked_solves`, which `h1_errors` applies to the
+    arrays of many solves at once.
     """
 
     order: int
@@ -74,13 +76,7 @@ class FemSolution:
     bubbles: np.ndarray
 
     def __post_init__(self):
-        n_el = self.mesh.n_elements
-        if self.slopes.shape != (n_el,) or self.bubbles.shape != (n_el, self.order - 1):
-            raise ParameterError(
-                f"expected {n_el} slopes and {n_el}x{self.order - 1} bubble"
-                f" coefficients for order {self.order}, got {self.slopes.shape}"
-                f" and {self.bubbles.shape}"
-            )
+        _checked_solves(self.order, self.slopes, self.bubbles, (self.mesh.n_elements,))
 
     def element_values(self) -> np.ndarray:
         """Per element, the Lobatto coefficients of u_h: both vertex values, then bubbles."""
@@ -109,6 +105,24 @@ def _fem_order(order) -> int:
     k = _checked_count(order, "order")
     if k > MAX_ORDER:
         raise ParameterError(f"order must lie in [1, {MAX_ORDER}], got {k}")
+    return k
+
+
+def _checked_solves(order, slopes, bubbles, shape: tuple[int, ...]) -> int:
+    """The order of the solves these arrays hold, checked by `_fem_order`.
+
+    `slopes` and `bubbles` must be numpy arrays of shape `shape` and
+    ``shape + (k - 1,)``: `shape` is the element count of one mesh, or the
+    (meshes, elements) of node rows.  Anything else is a `ParameterError`.
+    """
+    k = _fem_order(order)
+    want = shape + (k - 1,)
+    if not (isinstance(slopes, np.ndarray) and isinstance(bubbles, np.ndarray)
+            and slopes.shape == shape and bubbles.shape == want):
+        raise ParameterError(
+            f"slopes and bubbles of order-{k} solves on these mesh nodes must be arrays"
+            f" of shape {shape} and {want}, got {_described(slopes)} and {_described(bubbles)}"
+        )
     return k
 
 
@@ -205,13 +219,8 @@ def h1_error(solution: FemSolution, problem: Problem1D) -> tuple[float, float]:
     The one-row call of `h1_errors`: its blocks are whole elements of this
     one mesh, as many as fit in `_BLOCK` quadrature points.
     """
-    full, semi = h1_errors(
-        solution.order,
-        solution.mesh.nodes[None],
-        solution.slopes[None],
-        solution.bubbles[None],
-        problem,
-    )
+    rows = (solution.mesh.nodes[None], solution.slopes[None], solution.bubbles[None])
+    full, semi = h1_errors(solution.order, *rows, problem)
     return float(full[0]), float(semi[0])
 
 
@@ -235,10 +244,13 @@ def h1_errors(
     """Full H1 norms and H1 seminorms of the errors of T solves of one order.
 
     Row t of `nodes` (T, n + 1), `slopes` (T, n) and `bubbles` (T, n, k - 1)
-    is one degree-k solve on an n-element mesh, as in `FemSolution`, and
-    every node row is checked by the rule of a `Mesh1D` (`mesh._checked_gaps`),
-    which also gives the element lengths; the result is two arrays of shape
-    (T,).  Both integrals use k+5 Gauss points
+    is one degree-k solve on an n-element mesh, as in `FemSolution`; the
+    result is two arrays of shape (T,).  The order and the solve arrays are
+    checked against the node rows by the rule of `FemSolution`
+    (`_checked_solves`), and every node row by the rule of a `Mesh1D`
+    (`mesh._checked_gaps`), which also gives the element lengths.  An error
+    that is not finite is blamed on the slopes and bubbles if they hold an
+    inf or NaN, else on the problem.  Both integrals use k+5 Gauss points
     per element, enough to keep the quadrature contribution orders of
     magnitude below the error itself for smooth solutions.  u_h' is taken
     from the slopes, not from vertex value differences, which would add a
@@ -251,18 +263,12 @@ def h1_errors(
     BLAS call per mesh of the block, so each mesh's errors equal its own
     one-row call bit for bit, whatever the other meshes of the block.
     """
-    k = _fem_order(order)
-    n_trials, n_elements = slopes.shape
-    if nodes.shape != (n_trials, n_elements + 1) or bubbles.shape != (
-        n_trials, n_elements, k - 1
-    ):
-        raise ParameterError(
-            f"expected nodes ({n_trials}, {n_elements + 1}) and bubbles"
-            f" ({n_trials}, {n_elements}, {k - 1}) for slopes {slopes.shape}"
-            f" at order {k}, got {nodes.shape} and {bubbles.shape}"
-        )
+    if not isinstance(nodes, np.ndarray) or nodes.ndim != 2:
+        raise ParameterError(f"nodes must be a 2-D array of mesh rows, got {_described(nodes)}")
+    n_trials, n_elements = nodes.shape[0], nodes.shape[1] - 1
     if n_elements < 1:
         raise ParameterError("a mesh needs at least one element")
+    k = _checked_solves(order, slopes, bubbles, (n_trials, n_elements))
     point_map, weights, values, derivs = _reference_element(k, _ERROR_EXTRA_POINTS)
     lengths, _ = _checked_gaps(nodes)
     vertex_values = np.zeros((n_trials, n_elements + 1))
@@ -298,6 +304,9 @@ def h1_errors(
     semi_sq = (lengths * semi_elements).sum(axis=1)
     full_sq = l2_sq + semi_sq  # both sums are >= 0, so this is finite iff both are
     if not np.isfinite(full_sq).all():
+        if not (np.isfinite(slopes).all() and np.isfinite(bubbles).all()):
+            raise ParameterError("the H1 error is not finite; the solve's slopes and"
+                                 " bubbles must not contain infs or NaNs")
         raise ParameterError(
             f"problem {problem.name!r}: the H1 error is not finite; its exact"
             " solution and derivative values must not contain infs or NaNs"

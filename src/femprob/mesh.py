@@ -88,9 +88,14 @@ def _checked_gaps(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _checked_seeds(seeds: np.ndarray) -> np.ndarray:
     """`seeds` as uint64 keys: a 1-D array of an integer dtype, by `_key_part`'s rule."""
     if not isinstance(seeds, np.ndarray) or seeds.ndim != 1:
-        got = f"shape {seeds.shape}" if isinstance(seeds, np.ndarray) else type(seeds).__name__
-        raise ParameterError(f"seeds must be a 1-D integer array, got {got}")
+        raise ParameterError(f"seeds must be a 1-D integer array, got {_described(seeds)}")
     return _key_part(seeds, "seeds")
+
+
+def _described(value) -> str:
+    """A value that should have been an array, for an error message: its
+    shape if it is a numpy array, else the name of its type."""
+    return f"shape {value.shape}" if isinstance(value, np.ndarray) else type(value).__name__
 
 
 def jittered_nodes(n_elements: int, jitter: float, seeds: np.ndarray) -> np.ndarray:

@@ -101,9 +101,18 @@ def _streams(pair: ElementPair, h: float, seed: int) -> tuple[tuple[int, float],
 def draw_error_samples(
     pair: ElementPair, h: float, n_trials: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized draws (x_low, x_high) of trials 0..n_trials-1, as one block."""
+    """Vectorized draws (x_low, x_high) of trials 0..n_trials-1.
+
+    Both streams come from one `uniforms` call, one row each, scaled by
+    their interval tops: the reference that the blocks of `mc_estimate`
+    must reproduce, drawn without them.
+    """
     n_trials = _checked_count(n_trials, "n_trials")
-    return tuple(next(_scaled_blocks(n_trials, n_trials, *_streams(pair, h, seed))))
+    (key_low, top_low), (key_high, top_high) = _streams(pair, h, seed)
+    x_low, x_high = uniforms(np.array([key_low, key_high], dtype=np.uint64), n_trials)
+    x_low *= top_low
+    x_high *= top_high
+    return x_low, x_high
 
 
 def trapezium_ratio(pair: ElementPair, h: float) -> float:
@@ -128,50 +137,41 @@ def trapezium_ratio(pair: ElementPair, h: float) -> float:
     return trapezium / rectangle
 
 
-def _scaled_blocks(n_trials: int, chunk_size: int | None, *streams: tuple[int, float]):
+def _scaled_blocks(n_trials: int, *streams: tuple[int, float]):
     """Yield, block by block, the streams' draws scaled by their interval tops.
 
     `streams` are (key, top) pairs.  A block is one (streams x trials)
     array of the same trial indices of every stream, drawn by one
-    `uniforms` call: `chunk_size` trials, or when it is None as many as
-    fit in one `rng` draw block of 32,768 values across the streams (the
-    last block may be shorter), so a block's working set stays small while
-    the values match one long draw.  Every block is drawn into the one
-    buffer of the call, so a yielded block is overwritten by the next.
+    `uniforms` call: as many trials as fit in one `rng._BLOCK` of values
+    across the streams (the last block may be shorter), so a block's
+    working set stays small while the values match one long draw.  Every
+    block is drawn into the one buffer of the call, so a yielded block is
+    overwritten by the next.
     """
     keys = np.array([key for key, _ in streams], dtype=np.uint64)
     tops = np.array([[top] for _, top in streams])
-    size = None if chunk_size is None else chunk_size * len(keys)
-    buffer = np.empty((len(keys), min(n_trials, _rows_per_block(len(keys), size=size))))
-    for trials, _ in _blocks(n_trials, len(keys), size=size):
+    buffer = np.empty((len(keys), min(n_trials, _rows_per_block(len(keys)))))
+    for trials, _ in _blocks(n_trials, len(keys)):
         count = trials.stop - trials.start
         x = uniforms(keys, count, trials.start, out=buffer[:, :count])
         x *= tops
         yield x
 
 
-def mc_estimate(
-    pair: ElementPair,
-    h: float,
-    n_trials: int,
-    seed: int,
-    chunk_size: int | None = None,
-) -> McEstimate:
+def mc_estimate(pair: ElementPair, h: float, n_trials: int, seed: int) -> McEstimate:
     """Monte Carlo frequency of "high-order error <= low-order error".
 
-    Trials are drawn and counted in blocks of `_scaled_blocks`: 32,768
-    values across the two streams (an L2-sized working set), or
-    `chunk_size` trials when given, which then bounds memory.  Both
-    streams of a block come from one `uniforms` call into the same buffer.
-    The counter-based stream makes any block size (or a parallel split
-    along trial indices) return bit-identical results.  Ties count as a
-    win for the high-order family, matching the non-strict event
-    definition.
+    Trials are drawn and counted in the blocks of `_scaled_blocks`, whose
+    size `rng._BLOCK` alone sets (32,768 values across the two streams, an
+    L2-sized working set); both streams of a block come from one `uniforms`
+    call into the same buffer.  The counter-based stream makes any block
+    size (or a parallel split along trial indices) return bit-identical
+    results.  Ties count as a win for the high-order family, matching the
+    non-strict event definition.
     """
     n_trials = _checked_count(n_trials, "n_trials")
-    chunk_size = None if chunk_size is None else _checked_count(chunk_size, "chunk_size")
     hits = 0
-    for x_low, x_high in _scaled_blocks(n_trials, chunk_size, *_streams(pair, h, seed)):
+    for x_low, x_high in _scaled_blocks(n_trials, *_streams(pair, h, seed)):
         hits += int(np.count_nonzero(x_high <= x_low))
     return McEstimate(p_hat=hits / n_trials, n_trials=n_trials, seed=seed)
 
@@ -202,7 +202,7 @@ def conditional_identity_check(
     low, high = _streams(pair, h, derive_key(seed, _STREAM_CONDITIONAL))
     top_low, top_high = low[1], high[1]
     n_band = n_wins = n_band_and_win = 0
-    for band_low, x_low, x_high in _scaled_blocks(n_trials, None, band, low, high):
+    for band_low, x_low, x_high in _scaled_blocks(n_trials, band, low, high):
         n_band += int(np.count_nonzero((band_low >= top_high) & (band_low <= top_low)))
         wins = x_high <= x_low
         n_wins += int(np.count_nonzero(wins))

@@ -160,19 +160,28 @@ def fit_constant(
     With `fix_rate` the exponent is pinned to the theoretical order and only
     the constant is estimated.  Records at or below the rounding floor carry
     no rate information and are dropped first; refuses to fit when fewer
-    than three distinct mesh sizes remain.
+    than three distinct mesh sizes remain.  Every record of the order must
+    have a positive, finite `h_max` and a finite `error_h1`; any other is a
+    `ParameterError` naming the field.  (`ConvergenceRecord` does not check
+    them itself: a study builds thousands of records, and only a fit needs
+    these.)
     """
     order = _checked_count(order, "order")
     subset = [r for r in records if r.order == order]
-    clean = [r for r in subset if r.error_h1 > _NOISE_FLOOR]
-    h = np.array([r.h_max for r in clean])
-    err = np.array([r.error_h1 for r in clean])
+    h = np.array([r.h_max for r in subset])
+    err = np.array([r.error_h1 for r in subset])
+    if not ((h > 0.0) & (h < math.inf)).all():
+        raise ParameterError(f"h_max of every order-{order} record must be positive and finite")
+    if not np.isfinite(err).all():
+        raise ParameterError(f"error_h1 of every order-{order} record must be finite")
+    clean = err > _NOISE_FLOOR
+    h, err = h[clean], err[clean]
     n_sizes = np.unique(h).size
     if n_sizes < 3:
         raise InsufficientDataError(
             f"need >= 3 distinct mesh sizes for order {order} with errors above"
             f" the rounding floor {_NOISE_FLOOR:g}, got {n_sizes};"
-            f" {len(subset) - len(clean)} of {len(subset)} records sit at the floor"
+            f" {len(subset) - len(h)} of {len(subset)} records sit at the floor"
             " (insufficient dynamic range for a power-law fit)"
         )
     log_h = np.log(h)
@@ -305,12 +314,12 @@ def estimate_half_crossing(
     points yields several crossings, and their geometric mean is returned.
     None when the curve never crosses.
     """
-    if len(h_values) != len(p_values):
-        raise ParameterError("h_values and p_values must have equal length")
     h = np.asarray(h_values, dtype=np.float64)
+    p = np.asarray(p_values, dtype=np.float64)
+    if h.ndim != 1 or h.shape != p.shape:
+        raise ParameterError("h_values and p_values must be 1-D and have equal length")
     if h.size == 0 or not ((h > 0.0) & (h < math.inf)).all():
         raise ParameterError("h_values must be non-empty, positive and finite")
-    p = np.asarray(p_values, dtype=np.float64)
     if not ((p >= 0.0) & (p <= 1.0)).all():
         raise ParameterError("p_values must be finite and lie in [0, 1]")
     order = np.argsort(h)

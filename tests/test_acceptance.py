@@ -232,7 +232,10 @@ def test_criterion_7_byte_identical_reruns(tmp_path):
         pair = ElementPair.from_constants(1.0, 1, 2.0, 2)
         whole = mc_estimate(pair, 0.3, 100_000, 21)
         for chunk in (1_024, 7_777, 50_000):
-            assert mc_estimate(pair, 0.3, 100_000, 21, chunk_size=chunk) == whole
+            # blocks of `chunk` trials of each of the two streams
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("femprob.rng._BLOCK", 2 * chunk)
+                assert mc_estimate(pair, 0.3, 100_000, 21) == whole
         a = empirical_superiority(get_problem("sine"), 1, 2, 8, 10, 0.3, 23)
         b = empirical_superiority(get_problem("sine"), 1, 2, 8, 10, 0.3, 23)
         assert a == b

@@ -293,6 +293,19 @@ class TestConfigFile:
         want = run_cli("law", "--config", plain).stdout
         assert run_cli("law", "--config", marked).stdout == want
 
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # a comment starts only at a `#` that begins the line or follows
+        # whitespace, so a path may hold one
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "# reference pair\nck=1\nk=1 # low order\ncm=2\t# tab before\nm=2\n"
+            "h_min=0.5\nh_max=0.5\npoints=1\n"
+            f"out={tmp_path / 'run#1.csv'}\n"
+        )
+        run_cli("law", "--config", config)
+        assert not (tmp_path / "run").exists()
+        assert data_rows((tmp_path / "run#1.csv").read_text()) == ["0.5,0.5,0.5"]
+
     def test_missing_required_parameter(self):
         result = run_cli("law", "--ck", 1, "--k", 1, "--cm", 2, expect=2)
         assert "missing required parameter --m" in result.stderr

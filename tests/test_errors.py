@@ -53,7 +53,6 @@ COUNTS = {
     "McEstimate": ("n_trials", lambda v: McEstimate(0.5, v, 0)),
     "draw_error_samples": ("n_trials", lambda v: draw_error_samples(PAIR, 0.25, v, 0)),
     "mc_estimate": ("n_trials", lambda v: mc_estimate(PAIR, 0.25, v, 0)),
-    "mc_estimate_chunk": ("chunk_size", lambda v: mc_estimate(PAIR, 0.25, 10, 0, chunk_size=v)),
     "conditional_identity_check": (
         "n_trials", lambda v: conditional_identity_check(PAIR, 0.25, v, 0)
     ),

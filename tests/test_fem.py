@@ -346,6 +346,70 @@ class TestH1Errors:
         with pytest.raises(ParameterError, match=message):
             fem.h1_errors(1, np.array([row]), np.zeros((1, 3)), np.zeros((1, 3, 0)), SINE)
 
+    @pytest.mark.parametrize(
+        "slopes, message",
+        [
+            (np.zeros(4), r"slopes and bubbles .* got shape \(4,\) and"),
+            ([[0.0] * 4], "slopes and bubbles .* got list and"),
+        ],
+        ids=["1-D", "list"],
+    )
+    def test_slopes_must_be_an_array_of_the_node_rows(self, slopes, message):
+        nodes = build_mesh(4, 0.3, seed=1).nodes[None]
+        with pytest.raises(ParameterError, match=message):
+            fem.h1_errors(1, nodes, slopes, np.zeros((1, 4, 0)), SINE)
+
+    def test_nodes_must_be_an_array(self):
+        nodes = build_mesh(4, 0.3, seed=1).nodes[None]
+        with pytest.raises(ParameterError, match="^nodes must be a 2-D array .* got list$"):
+            fem.h1_errors(1, nodes.tolist(), np.zeros((1, 4)), np.zeros((1, 4, 0)), SINE)
+        with pytest.raises(ParameterError, match=r"got shape \(5,\)$"):
+            fem.h1_errors(1, nodes[0], np.zeros((1, 4)), np.zeros((1, 4, 0)), SINE)
+
+    @pytest.mark.parametrize("field", ["slopes", "bubbles"])
+    def test_non_finite_solve_is_blamed_on_the_solve(self, field):
+        # a NaN in the solve, not in the problem's values, makes the error NaN
+        solutions = [assemble_solve(build_mesh(4, 0.3, seed), 3, SINE) for seed in (1, 2)]
+        order, nodes, slopes, bubbles = stacked(solutions)
+        {"slopes": slopes, "bubbles": bubbles}[field][1, 2] = np.nan
+        with pytest.raises(ParameterError, match="^the H1 error is not finite; the solve's"):
+            fem.h1_errors(order, nodes, slopes, bubbles, SINE)
+        broken = FemSolution(order, solutions[1].mesh, slopes[1], bubbles[1])
+        with pytest.raises(ParameterError, match="slopes and bubbles must not contain"):
+            h1_error(broken, SINE)
+
+
+class TestFemSolution:
+    # one rule, `fem._checked_solves`, checks a solve here and in `h1_errors`
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            (True, "^order must be an integer, got True$"),
+            (11, r"^order must lie in \[1, 10\], got 11$"),
+            (1.5, "^order must be an integer, got 1.5$"),
+        ],
+        ids=["bool", "above-max", "float"],
+    )
+    def test_order_checked(self, order, message):
+        # the bubbles have the shape the order implies, so only the order is wrong
+        mesh = build_mesh(4, 0.3, seed=1)
+        bubbles = np.zeros((4, max(int(order) - 1, 0)))
+        with pytest.raises(ParameterError, match=message):
+            FemSolution(order, mesh, np.zeros(4), bubbles)
+
+    def test_slopes_must_be_an_array(self):
+        mesh = build_mesh(4, 0.3, seed=1)
+        with pytest.raises(ParameterError, match="got list and shape"):
+            FemSolution(1, mesh, [0.0] * 4, np.zeros((4, 0)))
+
+    def test_shapes_checked_against_the_mesh(self):
+        solution = assemble_solve(build_mesh(4, 0.3, seed=1), 3, SINE)
+        with pytest.raises(ParameterError, match=r"shape \(4,\) and \(4, 2\), got shape"):
+            FemSolution(3, solution.mesh, solution.slopes[:3], solution.bubbles)
+        with pytest.raises(ParameterError, match="bubbles"):
+            FemSolution(3, solution.mesh, solution.slopes, solution.bubbles[:, :1])
+        assert FemSolution(np.int64(3), solution.mesh, solution.slopes, solution.bubbles)
+
 
 def counting(problem):
     """`problem` with call counters on its three callables."""
@@ -369,23 +433,36 @@ def counting(problem):
 class TestElementBlocks:
     @pytest.mark.parametrize("order", [1, 4, 10])
     def test_blocked_equals_one_block(self, order, monkeypatch):
-        # three full blocks of the load rule and a ragged fourth; the error
-        # rule has more points, so its blocks are smaller and ragged too
+        # what `fem` guarantees: a rerun at one block size is byte-identical,
+        # while one whole-mesh block agrees to rounding only.  Three full
+        # blocks of the load rule and a ragged fourth, of 7 elements or of
+        # 1, which takes numpy's one-row product path: at k = 10, n = 7561
+        # that moves the bubbles by about 1e-18 of the largest.  The error
+        # rule has more points, so its blocks are smaller and ragged too.
         per_block = fem._BLOCK // (order + fem._ASSEMBLY_EXTRA_POINTS)
-        n = 3 * per_block + 7
-        mesh = build_mesh(n, 0.3, seed=order)
-        problem, calls = counting(get_problem("sine24"))
-        blocked = assemble_solve(mesh, order, problem)
-        blocked_errors = h1_error(blocked, problem)
-        assert calls["source"] == 4
-        assert calls["exact_solution"] == calls["exact_derivative"] >= 4
+        for n in (3 * per_block + 7, 3 * per_block + 1):
+            mesh = build_mesh(n, 0.3, seed=order)
+            problem, calls = counting(get_problem("sine24"))
+            blocked = assemble_solve(mesh, order, problem)
+            blocked_errors = h1_error(blocked, problem)
+            assert calls["source"] == 4
+            assert calls["exact_solution"] == calls["exact_derivative"] >= 4
 
-        monkeypatch.setattr(fem, "_BLOCK", 16 * n)
-        whole = assemble_solve(mesh, order, problem)
-        assert h1_error(whole, problem) == blocked_errors
-        assert calls["source"] == 5
-        np.testing.assert_array_equal(blocked.slopes, whole.slopes)
-        np.testing.assert_array_equal(blocked.bubbles, whole.bubbles)
+            rerun = assemble_solve(mesh, order, problem)
+            assert rerun.slopes.tobytes() == blocked.slopes.tobytes()
+            assert rerun.bubbles.tobytes() == blocked.bubbles.tobytes()
+            assert h1_error(rerun, problem) == blocked_errors
+
+            calls["source"] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(fem, "_BLOCK", 16 * n)
+                whole = assemble_solve(mesh, order, problem)
+                whole_errors = h1_error(whole, problem)
+            assert calls["source"] == 1
+            for got, want in [(whole.slopes, blocked.slopes), (whole.bubbles, blocked.bubbles)]:
+                scale = np.abs(want).max(initial=0.0)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * scale)
+            np.testing.assert_allclose(whole_errors, blocked_errors, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("extra", [fem._ASSEMBLY_EXTRA_POINTS, fem._ERROR_EXTRA_POINTS])
     @pytest.mark.parametrize("order", range(1, 11))

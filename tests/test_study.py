@@ -132,6 +132,28 @@ class TestFitConstant:
         with pytest.raises(InsufficientDataError, match="dynamic range"):
             fit_constant(records, 2)
 
+    @pytest.mark.parametrize(
+        "h_max, error_h1, field",
+        [
+            (0.0, 1e-3, "h_max"),  # unchecked: constant=inf, residual=nan
+            (-1.0, 1e-3, "h_max"),  # unchecked: LinAlgError in the free-rate fit
+            (math.nan, 1e-3, "h_max"),
+            (math.inf, 1e-3, "h_max"),
+            (0.01, math.inf, "error_h1"),  # unchecked: constant=nan
+        ],
+    )
+    @pytest.mark.parametrize("fix_rate", [True, False])
+    def test_refuses_records_it_cannot_fit(self, h_max, error_h1, field, fix_rate):
+        records = synthetic_records(2.0, 1.0, [0.2, 0.1, 0.05], order=1)
+        records.append(ConvergenceRecord(1, 4, h_max, error_h1, 1e-4, 0))
+        with pytest.raises(ParameterError, match=f"^{field} of every order-1 record"):
+            fit_constant(records, 1, fix_rate=fix_rate)
+
+    def test_records_of_other_orders_are_not_checked(self):
+        records = synthetic_records(2.0, 1.0, [0.2, 0.1, 0.05], order=1)
+        records.append(ConvergenceRecord(2, 4, -1.0, 1e-3, 1e-4, 0))
+        assert fit_constant(records, 1).constant == pytest.approx(2.0, abs=1e-10)
+
 
 class TestEmpiricalSuperiority:
     def test_fine_mesh_high_order_dominates(self):
@@ -406,6 +428,19 @@ class TestHalfCrossing:
     def test_empty_input(self):
         with pytest.raises(ParameterError):
             estimate_half_crossing([], [])
+
+    @pytest.mark.parametrize(
+        "h_values, p_values",
+        [
+            ([[0.1, 0.2]], [[0.9, 0.1]]),  # unchecked: IndexError
+            ([[0.1, 0.2], [0.3, 0.4]], [[0.9, 0.8], [0.2, 0.1]]),  # unchecked: TypeError
+            (0.1, 0.9),
+        ],
+        ids=["1x2", "2x2", "scalar"],
+    )
+    def test_input_must_be_1d(self, h_values, p_values):
+        with pytest.raises(ParameterError, match="must be 1-D"):
+            estimate_half_crossing(h_values, p_values)
 
     @pytest.mark.parametrize("bad", [0.0, -0.2, math.inf, math.nan])
     def test_h_must_be_positive_and_finite(self, bad):
