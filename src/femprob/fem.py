@@ -19,8 +19,12 @@ integrates the errors of many solves of one order, given as arrays with
 one row per mesh, and `h1_error` is its one-mesh call.  A block yields
 per-element results only (loads, weighted squared errors); the global
 reductions (the solve's running sums, the sums of the error integrals over
-elements) run once per mesh over all its elements afterwards.  Reruns at
-one block size are byte-identical, and a mesh's results do not depend on
+elements) run once per mesh over all its elements afterwards.  A call of
+more than one block splits its blocks between the calling thread and one
+helper thread (`_each_block`); each block writes only its own elements'
+results, so the results do not depend on the split, nor on whether a
+helper runs at all (a process on one CPU has none).  Reruns at one block
+size are byte-identical, and a mesh's results do not depend on
 which other meshes share its block.  Another block size may move the last
 bits: a block of one element takes numpy's one-row path through the
 products, whose rounding can differ from the many-row path, and blocks of
@@ -34,6 +38,8 @@ reads the rounding of the solve and not that of another basis.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -56,6 +62,13 @@ _ERROR_EXTRA_POINTS = 5  # k + 5 Gauss points for the H1 error integrals
 # fastest).  Unlike the draws, the rounding of the products depends on the
 # block shape, so this size is the quadrature's own, not `rng`'s.
 _BLOCK = 1 << 15
+
+# threads that share a call's blocks: the caller and one helper.  numpy's
+# ufuncs and BLAS calls release the GIL, and np.sin over a block ran 1.95x
+# faster on two threads of a 2-vCPU host; no other count was measured, so a
+# larger cap needs a measurement on a machine with more CPUs.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -175,19 +188,60 @@ def _points(lengths: np.ndarray, lefts: np.ndarray, point_map: np.ndarray) -> np
     return edges @ point_map
 
 
+def _each_block(body, blocks: list) -> None:
+    """Call `body(*block)` once for each block, the blocks split between threads.
+
+    With W = min(`_WORKERS`, len(blocks)) workers, the calling thread runs
+    ``blocks[0::W]`` and W - 1 helper threads run ``blocks[i::W]``; a single
+    block runs inline, with no thread.  The bodies must write disjoint
+    results, so the results do not depend on W.  If blocks raise, the
+    exception of the first of them in block order is raised once every
+    helper has ended: the one a serial loop would raise.
+    """
+    workers = min(_WORKERS, len(blocks))
+    if workers <= 1:
+        for block in blocks:
+            body(*block)
+        return
+    failures = {}  # block index -> its exception; each worker stops at its first
+
+    def run(first: int) -> None:
+        for index in range(first, len(blocks), workers):
+            try:
+                body(*blocks[index])
+            except Exception as error:  # re-raised by the caller, in block order
+                failures[index] = error
+                return
+
+    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
+    try:
+        for helper in helpers:
+            helper.start()
+        run(0)
+    finally:
+        for helper in helpers:
+            if helper.ident is not None:  # started: a failed start raises above
+                helper.join()
+    if failures:
+        raise failures[min(failures)]
+
+
 def _element_loads(mesh: Mesh1D, k: int, problem: Problem1D) -> np.ndarray:
     """Per element, the loads l(phi) of its k + 1 Lobatto basis functions."""
     point_map, weights, values, _ = _reference_element(k, _ASSEMBLY_EXTRA_POINTS)
     lengths, lefts = mesh.gaps, mesh.nodes[:-1]
     loads = np.empty((mesh.n_elements, k + 1))
-    for _, block in _blocks(1, mesh.n_elements, point_map.shape[1], _BLOCK):
-        x_quad = _points(lengths[block], lefts[block], point_map)
+
+    def load(_, elements: slice) -> None:
+        x_quad = _points(lengths[elements], lefts[elements], point_map)
         f_quad = np.asarray(problem.source(x_quad), dtype=np.float64)
         if not np.isfinite(f_quad).all():
             raise ParameterError(
                 f"problem {problem.name!r}: source values must not contain infs or NaNs"
             )
-        loads[block] = lengths[block, None] * ((f_quad * weights) @ values)
+        loads[elements] = lengths[elements, None] * ((f_quad * weights) @ values)
+
+    _each_block(load, list(_blocks(1, mesh.n_elements, point_map.shape[1], _BLOCK)))
     return loads
 
 
@@ -209,7 +263,9 @@ def assemble_solve(mesh: Mesh1D, order: int, problem: Problem1D) -> FemSolution:
     # a numpy reduction, not a BLAS dot: OpenBLAS splits long dots across
     # its threads, so their rounding would depend on the thread count
     slopes = np.add.reduce(lengths * passed) / lengths.sum() - passed
-    bubbles = lengths[:, None] * loads[:, 2:]
+    # scaled in place, so the solve holds no second (n, k - 1) array
+    bubbles = loads[:, 2:]
+    bubbles *= lengths[:, None]
     return FemSolution(order=k, mesh=mesh, slopes=slopes, bubbles=bubbles)
 
 
@@ -276,7 +332,8 @@ def h1_errors(
 
     l2_elements = np.empty((n_trials, n_elements))
     semi_elements = np.empty((n_trials, n_elements))
-    for trials, elements in _blocks(n_trials, n_elements, point_map.shape[1], _BLOCK):
+
+    def integrate(trials: slice, elements: slice) -> None:
         block_lengths = lengths[trials, elements]
         rows = block_lengths.shape
         x_quad = _points(block_lengths, nodes[trials, :-1][:, elements], point_map)
@@ -299,6 +356,8 @@ def h1_errors(
         ddiff *= ddiff
         l2_elements[trials, elements] = diff @ weights
         semi_elements[trials, elements] = ddiff @ weights
+
+    _each_block(integrate, list(_blocks(n_trials, n_elements, point_map.shape[1], _BLOCK)))
 
     l2_sq = (lengths * l2_elements).sum(axis=1)
     semi_sq = (lengths * semi_elements).sum(axis=1)

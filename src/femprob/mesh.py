@@ -38,8 +38,10 @@ class Mesh1D:
     def __post_init__(self):
         object.__setattr__(self, "seed", _checked_integer(self.seed, "seed"))
         nodes = np.asarray(self.nodes, dtype=np.float64)
+        if nodes.ndim > 1:
+            raise ParameterError(f"mesh nodes must be a 1-D array, got shape {nodes.shape}")
         object.__setattr__(self, "nodes", nodes)
-        # a 1-D node set is the one row of nodes[None]; any other is refused
+        # a 1-D node set is the one row of nodes[None]; a scalar is one node
         gaps, h_max = _checked_gaps(nodes[None])
         object.__setattr__(self, "gaps", gaps[0])
         object.__setattr__(self, "n_elements", gaps.shape[1])

@@ -40,7 +40,9 @@ class Problem1D:
     (about 2**15 quadrature points), not once per mesh, and a block may
     hold part of one mesh or the points of several meshes.  A result that
     depends on the other points of its array (a normalisation, a running
-    sum) changes with the blocking.
+    sum) changes with the blocking.  A call of several blocks may call a
+    function from two threads at once, on disjoint blocks, so it must not
+    change state that another call reads.
     """
 
     name: str

@@ -86,6 +86,11 @@ def _blocks(rows: int, width: int, unit: int = 1, size: int | None = None):
     """
     # a block of columns holds as many cells as rows of one cell would
     step, columns = _rows_per_block(width, unit, size), _rows_per_block(1, unit, size)
+    # at most one block, yielded directly: a small solve walks one block per call
+    if rows <= step and width <= columns:
+        if rows and width:
+            yield slice(0, rows), slice(0, width)
+        return
     for start in range(0, rows, step):
         for first in range(0, width, columns):
             yield slice(start, min(start + step, rows)), slice(first, min(first + columns, width))

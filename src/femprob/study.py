@@ -176,7 +176,9 @@ def fit_constant(
         raise ParameterError(f"error_h1 of every order-{order} record must be finite")
     clean = err > _NOISE_FLOOR
     h, err = h[clean], err[clean]
-    n_sizes = np.unique(h).size
+    # sorted neighbours, not np.unique, whose first call imports numpy.ma
+    h_sorted = np.sort(h)
+    n_sizes = np.count_nonzero(h_sorted[1:] != h_sorted[:-1]) + (h.size > 0)
     if n_sizes < 3:
         raise InsufficientDataError(
             f"need >= 3 distinct mesh sizes for order {order} with errors above"
@@ -301,6 +303,15 @@ def _non_increasing_fit(values: np.ndarray) -> np.ndarray:
     return np.repeat([total / count for total, count in blocks], [c for _, c in blocks])
 
 
+def _float_array(values, name: str) -> np.ndarray:
+    """`values` as a float64 array; what numpy cannot convert (a string, a
+    ragged list) is a `ParameterError` naming `name`."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{name} must be a 1-D sequence of numbers") from None
+
+
 def estimate_half_crossing(
     h_values: Sequence[float], p_values: Sequence[float]
 ) -> float | None:
@@ -314,8 +325,8 @@ def estimate_half_crossing(
     points yields several crossings, and their geometric mean is returned.
     None when the curve never crosses.
     """
-    h = np.asarray(h_values, dtype=np.float64)
-    p = np.asarray(p_values, dtype=np.float64)
+    h = _float_array(h_values, "h_values")
+    p = _float_array(p_values, "p_values")
     if h.ndim != 1 or h.shape != p.shape:
         raise ParameterError("h_values and p_values must be 1-D and have equal length")
     if h.size == 0 or not ((h > 0.0) & (h < math.inf)).all():

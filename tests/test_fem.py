@@ -4,6 +4,8 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -412,12 +414,15 @@ class TestFemSolution:
 
 
 def counting(problem):
-    """`problem` with call counters on its three callables."""
+    """`problem` with call counters on its three callables, which may be
+    called from two threads at once."""
     calls = {"source": 0, "exact_solution": 0, "exact_derivative": 0}
+    lock = threading.Lock()
 
     def counted(name):
         def call(x):
-            calls[name] += 1
+            with lock:
+                calls[name] += 1
             return getattr(problem, name)(x)
 
         return call
@@ -495,6 +500,115 @@ class TestElementBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
+
+
+def _failing_in(first_bad, make_error):
+    """sine24 whose source raises `make_error(x)` on every block of points
+    reaching past `first_bad`, recording the thread of each call.  A call
+    off the main thread first sleeps 50 ms, so a helper outlives the
+    caller's own blocks."""
+    sine24, threads, main = get_problem("sine24"), set(), threading.get_ident()
+
+    def source(x):
+        threads.add(threading.get_ident())
+        if threading.get_ident() != main:
+            time.sleep(0.05)
+        if x.max() > first_bad:
+            raise make_error(x)
+        return sine24.source(x)
+
+    return dataclasses.replace(sine24, name="failing", source=source), threads
+
+
+class TestBlockRunner:
+    """`fem._each_block` splits a call's blocks between the caller and
+    `_WORKERS - 1` helper threads; nothing a caller sees depends on it."""
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_worker_count_changes_no_bit(self, order, monkeypatch):
+        # 64 points a block: the 97-element meshes take blocks of columns,
+        # the 2-element meshes blocks of whole meshes.  Three workers on
+        # fewer CPUs, switching threads every microsecond, still write
+        # every block once.
+        monkeypatch.setattr(fem, "_BLOCK", 64)
+        outputs = {}
+        interval = sys.getswitchinterval()
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(fem, "_WORKERS", workers)
+            problem, calls = counting(get_problem("sine24"))
+            got = []
+            sys.setswitchinterval(1e-6)
+            try:
+                for n, trials in [(97, 3), (2, 12)]:
+                    solutions = [assemble_solve(build_mesh(n, 0.3, seed), order, problem)
+                                 for seed in range(trials)]
+                    full, semi = fem.h1_errors(*stacked(solutions), problem)
+                    got += [s.slopes.tobytes() + s.bubbles.tobytes() for s in solutions]
+                    got += [full.tobytes(), semi.tobytes()]
+            finally:
+                sys.setswitchinterval(interval)
+            outputs[workers] = got, calls
+        assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+        assert outputs[1][1]["exact_solution"] > 3 + 1  # more than one block a call
+
+    @staticmethod
+    def _split_failure(workers, monkeypatch, make_problem):
+        """The exception of a 150-element solve at `_WORKERS = workers`, in
+        blocks of 40 elements, whose problem `make_problem(nodes)` fails."""
+        monkeypatch.setattr(fem, "_BLOCK", 40 * (2 + fem._ASSEMBLY_EXTRA_POINTS))
+        monkeypatch.setattr(fem, "_WORKERS", workers)
+        mesh = build_mesh(150, 0.3, seed=1)
+        with pytest.raises(Exception) as raised:
+            assemble_solve(mesh, 2, make_problem(mesh.nodes))
+        return type(raised.value), str(raised.value)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_non_finite_last_block_gets_the_serial_message(self, workers, monkeypatch):
+        sine24 = get_problem("sine24")
+
+        def nan_in_last_block(nodes):  # the fourth block starts at element 120
+            def source(x):
+                return np.where(x > nodes[120], np.nan, sine24.source(x))
+            return dataclasses.replace(sine24, name="nan-tail", source=source)
+
+        serial = self._split_failure(1, monkeypatch, nan_in_last_block)
+        assert serial == (
+            ParameterError, "problem 'nan-tail': source values must not contain infs or NaNs"
+        )
+        assert self._split_failure(workers, monkeypatch, nan_in_last_block) == serial
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_first_failing_block_in_block_order_is_raised(self, workers, monkeypatch):
+        # blocks 1, 2 and 3 of 0..3 fail, each naming its first point: a
+        # serial loop raises block 1's, and so must the split one
+        def failing(nodes):
+            return _failing_in(nodes[40], lambda x: ValueError(f"block from {x.min()!r}"))[0]
+
+        serial = self._split_failure(1, monkeypatch, failing)
+        assert serial[0] is ValueError
+        assert self._split_failure(workers, monkeypatch, failing) == serial
+
+    def test_helpers_are_joined_and_single_blocks_run_inline(self, monkeypatch):
+        monkeypatch.setattr(fem, "_WORKERS", 2)
+        start = threading.active_count()
+        problem, threads = _failing_in(np.inf, ValueError)
+        assemble_solve(build_mesh(8, 0.3, seed=1), 3, problem)
+        assert threads == {threading.get_ident()} and threading.active_count() == start
+
+        # two blocks: the helper's is written before the call returns
+        monkeypatch.setattr(fem, "_BLOCK", 200)
+        mesh = build_mesh(40, 0.3, seed=1)
+        split = assemble_solve(mesh, 3, problem)
+        assert len(threads) == 2 and threading.active_count() == start
+        monkeypatch.setattr(fem, "_WORKERS", 1)
+        serial = assemble_solve(mesh, 3, problem)
+        assert split.bubbles.tobytes() == serial.bubbles.tobytes()
+
+        monkeypatch.setattr(fem, "_WORKERS", 2)
+        problem, _ = _failing_in(0.0, lambda x: ValueError("bad block"))
+        with pytest.raises(ValueError, match="^bad block$"):
+            assemble_solve(mesh, 3, problem)
+        assert threading.active_count() == start
 
 
 # one large solve, printed as the exact bytes of its results

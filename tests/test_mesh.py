@@ -119,12 +119,13 @@ class TestMesh1DValidation:
         "nodes, message",
         [
             ([0.0], "a mesh needs at least two nodes"),
-            ([[0.0, 1.0]], "a mesh needs at least two nodes"),
+            ([[0.0, 1.0]], "mesh nodes must be a 1-D array, got shape (1, 2)"),
+            ([[0.0, 0.5, 1.0]], "mesh nodes must be a 1-D array, got shape (1, 3)"),
             (0.5, "a mesh needs at least two nodes"),
             ([0.0, 0.5, float("nan")], "mesh must span exactly [0, 1]"),
             ([0.0, float("nan"), 1.0], "mesh nodes must be strictly increasing"),
         ],
-        ids=["one_node", "2d", "scalar", "nan_end", "nan"],
+        ids=["one_node", "2d", "2d_three_nodes", "scalar", "nan_end", "nan"],
     )
     def test_rejects_what_is_not_a_node_row(self, nodes, message):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):

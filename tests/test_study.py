@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -148,6 +150,27 @@ class TestFitConstant:
         records.append(ConvergenceRecord(1, 4, h_max, error_h1, 1e-4, 0))
         with pytest.raises(ParameterError, match=f"^{field} of every order-1 record"):
             fit_constant(records, 1, fix_rate=fix_rate)
+
+    @pytest.mark.parametrize(
+        "h_values, distinct", [([0.1, 0.1, 0.05, 0.05], 2), ([0.1], 1), ([], 0)]
+    )
+    def test_counts_distinct_mesh_sizes(self, h_values, distinct):
+        records = synthetic_records(1.0, 1.0, h_values, order=1)
+        with pytest.raises(InsufficientDataError, match=f", got {distinct};"):
+            fit_constant(records, 1)
+
+    def test_fit_leaves_numpy_ma_unloaded(self):
+        # np.unique imports numpy.ma on its first call, 9-15 ms of a fresh
+        # fem or compare process
+        code = (
+            "import sys; from femprob.study import ConvergenceRecord, fit_constant;"
+            " fit_constant([ConvergenceRecord(1, n, 1 / n, 1 / n, 0.5 / n, 0)"
+            " for n in (4, 8, 8, 16)], 1); print('numpy.ma' in sys.modules)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
 
     def test_records_of_other_orders_are_not_checked(self):
         records = synthetic_records(2.0, 1.0, [0.2, 0.1, 0.05], order=1)
@@ -440,6 +463,20 @@ class TestHalfCrossing:
     )
     def test_input_must_be_1d(self, h_values, p_values):
         with pytest.raises(ParameterError, match="must be 1-D"):
+            estimate_half_crossing(h_values, p_values)
+
+    @pytest.mark.parametrize(
+        "h_values, p_values, name",
+        [
+            ([0.1, 0.2], ["x", 0.5], "p_values"),  # unchecked: numpy's ValueError
+            (["0.1", "h"], [0.9, 0.1], "h_values"),
+            ([[0.1], [0.2, 0.3]], [0.9, 0.1], "h_values"),  # ragged
+            ([0.1, 0.2], [0.9, 1j], "p_values"),  # unchecked: TypeError
+        ],
+        ids=["string", "string_h", "ragged", "complex"],
+    )
+    def test_input_must_be_numbers(self, h_values, p_values, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be a 1-D sequence of numbers$"):
             estimate_half_crossing(h_values, p_values)
 
     @pytest.mark.parametrize("bad", [0.0, -0.2, math.inf, math.nan])
