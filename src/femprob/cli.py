@@ -29,7 +29,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .errors import FemProbError, InsufficientDataError, ParameterError
+from .errors import (FemProbError, InsufficientDataError, ParameterError, _checked_count,
+                     _checked_increasing)
 from .fem import MAX_ORDER
 from .laws import ElementPair, prob_sigmoid, prob_two_step, tabulate_curve
 from .oracle import mc_estimate
@@ -120,28 +121,26 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
     ctx.default_map = values
 
 
-def _int_list(ctx: click.Context, param: click.Parameter, text: str) -> list[int]:
+def _int_list(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",")]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise click.BadParameter(f"expected a comma-separated integer list: {exc}") from exc
-    if any(value < 1 for value in values):
-        raise click.BadParameter(f"expected integers >= 1, got {text!r}")
-    return values
 
 
 def _orders(ctx: click.Context, param: click.Parameter, text: str) -> list[int]:
-    orders = _int_list(ctx, param, text)
-    if len(set(orders)) < len(orders) or max(orders) > MAX_ORDER:
+    orders = _int_list(text)
+    if len(set(orders)) < len(orders) or not 1 <= min(orders) <= max(orders) <= MAX_ORDER:
         raise click.BadParameter(f"expected distinct orders in [1, {MAX_ORDER}], got {text!r}")
     return orders
 
 
 def _n_list(ctx: click.Context, param: click.Parameter, text: str) -> list[int]:
-    n_list = _int_list(ctx, param, text)
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise click.BadParameter(f"expected strictly increasing element counts, got {text!r}")
-    return n_list
+    """The element counts of `text`, by the library's `n_list` rule."""
+    try:
+        return _checked_increasing(_int_list(text), "n_list", _checked_count)
+    except ParameterError as exc:
+        raise click.BadParameter(str(exc)) from None
 
 
 def _h_grid(h_min: float, h_max: float, points: int, spacing: str) -> np.ndarray:

@@ -45,8 +45,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError, _checked_count
-from .mesh import Mesh1D, _checked_gaps, _described
+from .errors import ParameterError, _checked_count, _described
+from .mesh import Mesh1D, _checked_gaps
 from .problems import Problem1D
 from .rng import _blocks, _rows_per_block
 
@@ -65,8 +65,9 @@ _BLOCK = 1 << 15
 
 # threads that share a call's blocks: the caller and one helper.  numpy's
 # ufuncs and BLAS calls release the GIL, and np.sin over a block ran 1.95x
-# faster on two threads of a 2-vCPU host; no other count was measured, so a
-# larger cap needs a measurement on a machine with more CPUs.
+# faster on two threads of a 2-vCPU host; no other count was measured, so
+# `_each_block` runs at most one helper, and more would need a measurement
+# on a machine with more CPUs.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -89,7 +90,7 @@ class FemSolution:
     bubbles: np.ndarray
 
     def __post_init__(self):
-        _checked_solves(self.order, self.slopes, self.bubbles, (self.mesh.n_elements,))
+        _checked_solves(self.order, self.slopes, self.bubbles, self.mesh.gaps.shape)
 
     def element_values(self) -> np.ndarray:
         """Per element, the Lobatto coefficients of u_h: both vertex values, then bubbles."""
@@ -125,8 +126,9 @@ def _checked_solves(order, slopes, bubbles, shape: tuple[int, ...]) -> int:
     """The order of the solves these arrays hold, checked by `_fem_order`.
 
     `slopes` and `bubbles` must be numpy arrays of shape `shape` and
-    ``shape + (k - 1,)``: `shape` is the element count of one mesh, or the
-    (meshes, elements) of node rows.  Anything else is a `ParameterError`.
+    ``shape + (k - 1,)``, where `shape` is that of the mesh gaps: (elements,)
+    for one mesh, (meshes, elements) for node rows.  Anything else is a
+    `ParameterError`.
     """
     k = _fem_order(order)
     want = shape + (k - 1,)
@@ -189,39 +191,36 @@ def _points(lengths: np.ndarray, lefts: np.ndarray, point_map: np.ndarray) -> np
 
 
 def _each_block(body, blocks: list) -> None:
-    """Call `body(*block)` once for each block, the blocks split between threads.
+    """Call `body(*block)` once for each block, the blocks split between two threads.
 
-    With W = min(`_WORKERS`, len(blocks)) workers, the calling thread runs
-    ``blocks[0::W]`` and W - 1 helper threads run ``blocks[i::W]``; a single
-    block runs inline, with no thread.  The bodies must write disjoint
-    results, so the results do not depend on W.  If blocks raise, the
-    exception of the first of them in block order is raised once every
-    helper has ended: the one a serial loop would raise.
+    The calling thread runs the even blocks and one helper thread the odd
+    ones; with one block, or with `_WORKERS` at 1, every block runs inline,
+    with no thread.  The bodies must write disjoint results, so the results
+    do not depend on the split.  If blocks raise, the exception of the first
+    of them in block order is raised once the helper has ended: the one a
+    serial loop would raise.
     """
-    workers = min(_WORKERS, len(blocks))
-    if workers <= 1:
+    if _WORKERS < 2 or len(blocks) < 2:
         for block in blocks:
             body(*block)
         return
-    failures = {}  # block index -> its exception; each worker stops at its first
+    failures = {}  # block index -> its exception; each thread stops at its first
 
     def run(first: int) -> None:
-        for index in range(first, len(blocks), workers):
+        for index in range(first, len(blocks), 2):
             try:
                 body(*blocks[index])
             except Exception as error:  # re-raised by the caller, in block order
                 failures[index] = error
                 return
 
-    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, workers)]
+    helper = threading.Thread(target=run, args=(1,))
     try:
-        for helper in helpers:
-            helper.start()
+        helper.start()
         run(0)
     finally:
-        for helper in helpers:
-            if helper.ident is not None:  # started: a failed start raises above
-                helper.join()
+        if helper.ident is not None:  # started: a failed start raises above
+            helper.join()
     if failures:
         raise failures[min(failures)]
 
@@ -301,16 +300,16 @@ def h1_errors(
 
     Row t of `nodes` (T, n + 1), `slopes` (T, n) and `bubbles` (T, n, k - 1)
     is one degree-k solve on an n-element mesh, as in `FemSolution`; the
-    result is two arrays of shape (T,).  The order and the solve arrays are
-    checked against the node rows by the rule of `FemSolution`
-    (`_checked_solves`), and every node row by the rule of a `Mesh1D`
-    (`mesh._checked_gaps`), which also gives the element lengths.  An error
-    that is not finite is blamed on the slopes and bubbles if they hold an
-    inf or NaN, else on the problem.  Both integrals use k+5 Gauss points
-    per element, enough to keep the quadrature contribution orders of
-    magnitude below the error itself for smooth solutions.  u_h' is taken
-    from the slopes, not from vertex value differences, which would add a
-    rounding floor on fine meshes.
+    result is two arrays of shape (T,).  The node rows are checked first, by
+    the rule of a `Mesh1D` (`mesh._checked_gaps`), which also gives the
+    element lengths; then the order and the solve arrays against the shape
+    of those lengths, by the rule of `FemSolution` (`_checked_solves`).  An
+    error that is not finite is blamed on the slopes and bubbles if they
+    hold an inf or NaN, else on the problem.  Both integrals use k+5 Gauss
+    points per element, enough to keep the quadrature contribution orders
+    of magnitude below the error itself for smooth solutions.  u_h' is
+    taken from the slopes, not from vertex value differences, which would
+    add a rounding floor on fine meshes.
 
     The squared errors are integrated per element, block by block (see
     `rng._blocks`), from u_h's coefficients of that block, sliced from
@@ -319,14 +318,10 @@ def h1_errors(
     BLAS call per mesh of the block, so each mesh's errors equal its own
     one-row call bit for bit, whatever the other meshes of the block.
     """
-    if not isinstance(nodes, np.ndarray) or nodes.ndim != 2:
-        raise ParameterError(f"nodes must be a 2-D array of mesh rows, got {_described(nodes)}")
-    n_trials, n_elements = nodes.shape[0], nodes.shape[1] - 1
-    if n_elements < 1:
-        raise ParameterError("a mesh needs at least one element")
-    k = _checked_solves(order, slopes, bubbles, (n_trials, n_elements))
-    point_map, weights, values, derivs = _reference_element(k, _ERROR_EXTRA_POINTS)
     lengths, _ = _checked_gaps(nodes)
+    n_trials, n_elements = lengths.shape
+    k = _checked_solves(order, slopes, bubbles, lengths.shape)
+    point_map, weights, values, derivs = _reference_element(k, _ERROR_EXTRA_POINTS)
     vertex_values = np.zeros((n_trials, n_elements + 1))
     np.cumsum(slopes * lengths, axis=1, out=vertex_values[:, 1:])
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ParameterError, _checked_count, _checked_positive
+from .errors import ParameterError, _checked_count, _checked_increasing, _checked_positive
 
 __all__ = [
     "ErrorLaw",
@@ -170,9 +170,5 @@ def tabulate_curve(pair: ElementPair, h_grid, law) -> tuple[float, ...]:
 
     `law` is `prob_two_step` or `prob_sigmoid`.
     """
-    grid = [_checked_h(h) for h in h_grid]
-    if not grid:
-        raise ParameterError("h_grid must be non-empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ParameterError("h_grid must be strictly increasing")
+    grid = _checked_increasing(h_grid, "h_grid", _checked_positive)
     return tuple(law(pair, h) for h in grid)

@@ -12,7 +12,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ParameterError, _checked_count, _checked_integer, _checked_number
+from .errors import (ParameterError, _checked_count, _checked_floats, _checked_integer,
+                     _checked_number, _described)
 from .rng import _key_part, derive_key, uniforms
 
 __all__ = ["Mesh1D", "build_mesh", "jittered_nodes"]
@@ -24,7 +25,8 @@ class Mesh1D:
 
     ``gaps`` holds the element diameters (read-only), ``n_elements`` their
     number and ``h_max`` the largest of them, the mesh size every error
-    bound in this package is phrased in.  The nodes are checked, and these
+    bound in this package is phrased in.  The nodes must convert to a 1-D
+    float64 array (`errors._checked_floats`); they are checked, and these
     fields computed, by the rule of `_checked_gaps`, which `_of_rows`
     applies once to the node rows of many meshes.
     """
@@ -37,11 +39,8 @@ class Mesh1D:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _checked_integer(self.seed, "seed"))
-        nodes = np.asarray(self.nodes, dtype=np.float64)
-        if nodes.ndim > 1:
-            raise ParameterError(f"mesh nodes must be a 1-D array, got shape {nodes.shape}")
+        nodes = _checked_floats(self.nodes, "mesh nodes", 1)
         object.__setattr__(self, "nodes", nodes)
-        # a 1-D node set is the one row of nodes[None]; a scalar is one node
         gaps, h_max = _checked_gaps(nodes[None])
         object.__setattr__(self, "gaps", gaps[0])
         object.__setattr__(self, "n_elements", gaps.shape[1])
@@ -72,11 +71,14 @@ class Mesh1D:
 def _checked_gaps(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The read-only (T, n) gaps of a (T, n+1) float64 node array, and each row's largest.
 
-    Every row must be a mesh: at least two nodes, from exactly 0 to exactly
-    1, strictly increasing (so no node is NaN); anything else is a
+    The node rule of every mesh: `nodes` must be a 2-D numpy array, and
+    every row a mesh of at least two nodes, from exactly 0 to exactly 1,
+    strictly increasing (so no node is NaN); anything else is a
     `ParameterError`.
     """
-    if nodes.ndim != 2 or nodes.shape[1] < 2:
+    if not isinstance(nodes, np.ndarray) or nodes.ndim != 2:
+        raise ParameterError(f"nodes must be a 2-D array of mesh rows, got {_described(nodes)}")
+    if nodes.shape[1] < 2:
         raise ParameterError("a mesh needs at least two nodes")
     if not ((nodes[:, 0] == 0.0) & (nodes[:, -1] == 1.0)).all():
         raise ParameterError("mesh must span exactly [0, 1]")
@@ -92,12 +94,6 @@ def _checked_seeds(seeds: np.ndarray) -> np.ndarray:
     if not isinstance(seeds, np.ndarray) or seeds.ndim != 1:
         raise ParameterError(f"seeds must be a 1-D integer array, got {_described(seeds)}")
     return _key_part(seeds, "seeds")
-
-
-def _described(value) -> str:
-    """A value that should have been an array, for an error message: its
-    shape if it is a numpy array, else the name of its type."""
-    return f"shape {value.shape}" if isinstance(value, np.ndarray) else type(value).__name__
 
 
 def jittered_nodes(n_elements: int, jitter: float, seeds: np.ndarray) -> np.ndarray:

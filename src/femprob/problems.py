@@ -122,8 +122,11 @@ def get_problem(name: str) -> Problem1D:
     """Look up a library problem by name.
 
     `sine` and `sineN` give u = sin(N*pi*x); `poly2`..`poly4` give
-    u = x**(a)*(1-x) for a = 1..3.
+    u = x**(a)*(1-x) for a = 1..3.  A name that is not a string is a
+    `ParameterError`.
     """
+    if not isinstance(name, str):
+        raise ParameterError(f"problem name must be a string, got {name!r}")
     if name in _FIXED:
         return _FIXED[name]
     match = _SINE_PATTERN.match(name)

@@ -23,7 +23,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParameterError, _checked_count
+from .errors import (InsufficientDataError, ParameterError, _checked_count, _checked_floats,
+                     _checked_increasing)
 from .fem import _trials_per_block, assemble_solve, h1_errors
 from .mesh import Mesh1D, build_mesh, jittered_nodes
 from .oracle import McEstimate
@@ -81,15 +82,6 @@ class FittedLaw:
         return abs(self.rate - self.order) <= window
 
 
-def _checked_n_list(n_list: Sequence[int]) -> list[int]:
-    n_list = [_checked_count(n, f"n_list[{i}]") for i, n in enumerate(n_list)]
-    if not n_list:
-        raise ParameterError("n_list must be non-empty")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ParameterError("n_list must be strictly increasing")
-    return n_list
-
-
 def _rows(arrays: Sequence[np.ndarray]) -> np.ndarray:
     """The arrays stacked as rows; a lone array as a view, not a copy.
 
@@ -140,7 +132,7 @@ def convergence_study(
     Per-trial seeds are derived from (seed, n, trial), so the record list
     is reproducible and independent of evaluation order.
     """
-    n_list = _checked_n_list(n_list)
+    n_list = _checked_increasing(n_list, "n_list", _checked_count)
     trials_per_n = _checked_count(trials_per_n, "trials_per_n")
     records = []
     for n in n_list:
@@ -232,7 +224,7 @@ def superiority_sweep(
     them come from one `fem.h1_errors` call, equal bit for bit to `h1_error`
     of each solve.
     """
-    n_list = _checked_n_list(n_list)
+    n_list = _checked_increasing(n_list, "n_list", _checked_count)
     order_low = _checked_count(order_low, "order_low")
     order_high = _checked_count(order_high, "order_high")
     if order_low >= order_high:
@@ -303,15 +295,6 @@ def _non_increasing_fit(values: np.ndarray) -> np.ndarray:
     return np.repeat([total / count for total, count in blocks], [c for _, c in blocks])
 
 
-def _float_array(values, name: str) -> np.ndarray:
-    """`values` as a float64 array; what numpy cannot convert (a string, a
-    ragged list) is a `ParameterError` naming `name`."""
-    try:
-        return np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be a 1-D sequence of numbers") from None
-
-
 def estimate_half_crossing(
     h_values: Sequence[float], p_values: Sequence[float]
 ) -> float | None:
@@ -325,10 +308,10 @@ def estimate_half_crossing(
     points yields several crossings, and their geometric mean is returned.
     None when the curve never crosses.
     """
-    h = _float_array(h_values, "h_values")
-    p = _float_array(p_values, "p_values")
-    if h.ndim != 1 or h.shape != p.shape:
-        raise ParameterError("h_values and p_values must be 1-D and have equal length")
+    h = _checked_floats(h_values, "h_values", 1)
+    p = _checked_floats(p_values, "p_values", 1)
+    if h.shape != p.shape:
+        raise ParameterError("h_values and p_values must have equal length")
     if h.size == 0 or not ((h > 0.0) & (h < math.inf)).all():
         raise ParameterError("h_values must be non-empty, positive and finite")
     if not ((p >= 0.0) & (p <= 1.0)).all():

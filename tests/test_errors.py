@@ -1,7 +1,7 @@
 """The failure contract of the library: every count argument is an integer
 of at least its minimum, every seed or stream key is an integer, every size
-is a finite float > 0, and anything else is a ParameterError that names the
-argument."""
+is a finite float > 0, every sweep or array argument is a sequence of such
+numbers, and anything else is a ParameterError that names the argument."""
 
 import math
 import re
@@ -36,7 +36,7 @@ from femprob.oracle import (
 )
 from femprob.problems import seminorm_reference
 from femprob.rng import derive_key, mix64, uniform_at, uniforms
-from femprob.study import superiority_sweep
+from femprob.study import estimate_half_crossing, superiority_sweep
 
 PAIR = ElementPair.from_constants(1.0, 1, 2.0, 2)  # crossover at 0.5
 SINE = get_problem("sine")
@@ -119,7 +119,7 @@ SIZES = {
     "prob_two_step": ("mesh size h", lambda v: prob_two_step(PAIR, v)),
     "prob_sigmoid": ("mesh size h", lambda v: prob_sigmoid(PAIR, v)),
     "prob_sigmoid_complement": ("mesh size h", lambda v: prob_sigmoid_complement(PAIR, v)),
-    "tabulate_curve": ("mesh size h", lambda v: tabulate_curve(PAIR, [0.1, v], prob_sigmoid)),
+    "tabulate_curve": ("h_grid[1]", lambda v: tabulate_curve(PAIR, [0.1, v], prob_sigmoid)),
     "trapezium_ratio": ("mesh size h", lambda v: trapezium_ratio(PAIR, v)),
     "numeric_area_oracle": ("mesh size h", lambda v: numeric_area_oracle(PAIR, v, 10)),
     "draw_error_samples": ("mesh size h", lambda v: draw_error_samples(PAIR, v, 10, 0)),
@@ -130,6 +130,16 @@ SIZES = {
     # a jitter may be 0; these four values are refused as a size is
     "jittered_nodes": ("jitter", lambda v: jittered_nodes(4, v, SEEDS)),
     "build_mesh": ("jitter", lambda v: build_mesh(4, v, 3)),
+}
+
+# a sweep (a list of element counts or mesh sizes) or an array of numbers
+SEQUENCES = {
+    "convergence_study": ("n_list", lambda v: convergence_study(SINE, 1, v, 0.0, 1, 0)),
+    "superiority_sweep": ("n_list", lambda v: superiority_sweep(SINE, 1, 2, v, 1, 0.0, 0)),
+    "tabulate_curve": ("h_grid", lambda v: tabulate_curve(PAIR, v, prob_sigmoid)),
+    "estimate_half_crossing_h": ("h_values", lambda v: estimate_half_crossing(v, [0.9, 0.1])),
+    "estimate_half_crossing_p": ("p_values", lambda v: estimate_half_crossing([0.1, 0.2], v)),
+    "Mesh1D": ("nodes", lambda v: Mesh1D(v, 0)),
 }
 
 
@@ -175,6 +185,17 @@ def test_jittered_nodes_seeds_must_be_a_1d_integer_array(n, jitter, seeds):
 @pytest.mark.parametrize("value", [None, "x", math.nan, -1.0])
 @pytest.mark.parametrize("name, call", SIZES.values(), ids=SIZES)
 def test_size_must_be_positive_and_finite(name, call, value):
+    with pytest.raises(ParameterError, match=re.escape(name)):
+        call(value)
+
+
+@pytest.mark.parametrize(
+    "value", [5, ["0", "x", "1"], [[0.0], [0.5, 1.0]]], ids=["scalar", "string", "ragged"]
+)
+@pytest.mark.parametrize("name, call", SEQUENCES.values(), ids=SEQUENCES)
+def test_sequence_must_hold_numbers(name, call, value):
+    # unchecked, a scalar n_list or h_grid and a Mesh1D of strings or of
+    # ragged rows raised a bare TypeError or ValueError
     with pytest.raises(ParameterError, match=re.escape(name)):
         call(value)
 

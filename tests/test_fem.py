@@ -329,7 +329,7 @@ class TestH1Errors:
         assert full.shape == semi.shape == (0,)
 
     def test_meshes_without_elements_rejected(self):
-        with pytest.raises(ParameterError, match="at least one element"):
+        with pytest.raises(ParameterError, match="^a mesh needs at least two nodes$"):
             fem.h1_errors(2, np.zeros((3, 1)), np.zeros((3, 0)), np.zeros((3, 0, 1)), SINE)
 
     @pytest.mark.parametrize(
@@ -521,19 +521,19 @@ def _failing_in(first_bad, make_error):
 
 
 class TestBlockRunner:
-    """`fem._each_block` splits a call's blocks between the caller and
-    `_WORKERS - 1` helper threads; nothing a caller sees depends on it."""
+    """`fem._each_block` splits a call's blocks between the caller and one
+    helper thread, or runs them inline at `_WORKERS = 1`; nothing a caller
+    sees depends on it."""
 
     @pytest.mark.parametrize("order", range(1, 11))
     def test_worker_count_changes_no_bit(self, order, monkeypatch):
         # 64 points a block: the 97-element meshes take blocks of columns,
-        # the 2-element meshes blocks of whole meshes.  Three workers on
-        # fewer CPUs, switching threads every microsecond, still write
-        # every block once.
+        # the 2-element meshes blocks of whole meshes.  Two threads,
+        # switching every microsecond, still write every block once.
         monkeypatch.setattr(fem, "_BLOCK", 64)
         outputs = {}
         interval = sys.getswitchinterval()
-        for workers in (1, 2, 3):
+        for workers in (1, 2):
             monkeypatch.setattr(fem, "_WORKERS", workers)
             problem, calls = counting(get_problem("sine24"))
             got = []
@@ -548,7 +548,7 @@ class TestBlockRunner:
             finally:
                 sys.setswitchinterval(interval)
             outputs[workers] = got, calls
-        assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+        assert outputs[2] == outputs[1]
         assert outputs[1][1]["exact_solution"] > 3 + 1  # more than one block a call
 
     @staticmethod
@@ -562,7 +562,7 @@ class TestBlockRunner:
             assemble_solve(mesh, 2, make_problem(mesh.nodes))
         return type(raised.value), str(raised.value)
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [2])
     def test_non_finite_last_block_gets_the_serial_message(self, workers, monkeypatch):
         sine24 = get_problem("sine24")
 
@@ -577,7 +577,7 @@ class TestBlockRunner:
         )
         assert self._split_failure(workers, monkeypatch, nan_in_last_block) == serial
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [2])
     def test_first_failing_block_in_block_order_is_raised(self, workers, monkeypatch):
         # blocks 1, 2 and 3 of 0..3 fail, each naming its first point: a
         # serial loop raises block 1's, and so must the split one

@@ -119,9 +119,9 @@ class TestMesh1DValidation:
         "nodes, message",
         [
             ([0.0], "a mesh needs at least two nodes"),
-            ([[0.0, 1.0]], "mesh nodes must be a 1-D array, got shape (1, 2)"),
-            ([[0.0, 0.5, 1.0]], "mesh nodes must be a 1-D array, got shape (1, 3)"),
-            (0.5, "a mesh needs at least two nodes"),
+            ([[0.0, 1.0]], "mesh nodes must be a 1-D array of numbers, got shape (1, 2)"),
+            ([[0.0, 0.5, 1.0]], "mesh nodes must be a 1-D array of numbers, got shape (1, 3)"),
+            (0.5, "mesh nodes must be a 1-D array of numbers, got shape ()"),
             ([0.0, 0.5, float("nan")], "mesh must span exactly [0, 1]"),
             ([0.0, float("nan"), 1.0], "mesh nodes must be strictly increasing"),
         ],

@@ -34,6 +34,14 @@ class TestRegistry:
         with pytest.raises(UnsupportedProblemError, match=r"sineN for any integer N >= 1"):
             get_problem("nosuch")
 
+    @pytest.mark.parametrize(
+        "name", [123, ["sine"], b"sine", None], ids=["int", "list", "bytes", "none"]
+    )
+    def test_name_must_be_a_string(self, name):
+        # unchecked, each raised a bare TypeError from the dict or the regex
+        with pytest.raises(ParameterError, match="^problem name must be a string, got "):
+            get_problem(name)
+
 
 class TestConsistency:
     @pytest.mark.parametrize("name", LIBRARY)

@@ -462,7 +462,7 @@ class TestHalfCrossing:
         ids=["1x2", "2x2", "scalar"],
     )
     def test_input_must_be_1d(self, h_values, p_values):
-        with pytest.raises(ParameterError, match="must be 1-D"):
+        with pytest.raises(ParameterError, match="^h_values must be a 1-D array of numbers, got "):
             estimate_half_crossing(h_values, p_values)
 
     @pytest.mark.parametrize(
@@ -476,7 +476,8 @@ class TestHalfCrossing:
         ids=["string", "string_h", "ragged", "complex"],
     )
     def test_input_must_be_numbers(self, h_values, p_values, name):
-        with pytest.raises(ParameterError, match=f"^{name} must be a 1-D sequence of numbers$"):
+        message = f"^{name} must be a 1-D array of numbers, got list$"
+        with pytest.raises(ParameterError, match=message):
             estimate_half_crossing(h_values, p_values)
 
     @pytest.mark.parametrize("bad", [0.0, -0.2, math.inf, math.nan])
