@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (FemProbError, InsufficientDataError, ParameterError, _checked_count,
                      _checked_increasing)
 from .fem import MAX_ORDER
-from .laws import ElementPair, prob_sigmoid, prob_two_step, tabulate_curve
+from .laws import ElementPair, prob_sigmoid, prob_two_step
 from .oracle import mc_estimate
 from .problems import get_problem
 from .rng import derive_key
@@ -144,13 +144,16 @@ def _n_list(ctx: click.Context, param: click.Parameter, text: str) -> list[int]:
 
 
 def _h_grid(h_min: float, h_max: float, points: int, spacing: str) -> np.ndarray:
+    """The mesh sizes of `law` and `mc`: `points` strictly increasing sizes
+    from h-min to h-max, or the one size h-min == h-max."""
     if points == 1:
         if h_min != h_max:
             raise ParameterError("a single-point grid needs h-min == h-max")
         return np.array([h_min])
-    if h_min >= h_max:
-        raise ParameterError("h-min must be < h-max")
-    return (np.geomspace if spacing == "log" else np.linspace)(h_min, h_max, points)
+    grid = (np.geomspace if spacing == "log" else np.linspace)(h_min, h_max, points)
+    if not (grid[1:] > grid[:-1]).all():
+        raise ParameterError(f"h-min must be < h-max, by enough for {points} distinct points")
+    return grid
 
 
 def _emit(out: str, lines: list[str], *more: tuple[str, list[str]]) -> None:
@@ -272,15 +275,13 @@ def _grid_options(points: int):
 def law(ck, k, cm, m, h_min, h_max, points, spacing, out):
     """Tabulate both closed-form laws on a mesh-size grid."""
     pair = ElementPair.from_constants(ck, k, cm, m)
-    grid = _h_grid(h_min, h_max, points, spacing)
-    step = tabulate_curve(pair, grid, prob_two_step)
-    smooth = tabulate_curve(pair, grid, prob_sigmoid)
     _emit(out, [
         "# femprob law",
         _params(ck=ck, k=k, cm=cm, m=m),
         _params(h_star=pair.h_star),
         "h,p_two_step,p_sigmoid",
-        *map(_row, grid, step, smooth),
+        *(_row(h, prob_two_step(pair, h), prob_sigmoid(pair, h))
+          for h in _h_grid(h_min, h_max, points, spacing)),
     ])
 
 

@@ -57,8 +57,10 @@ def _checked_count(value, name: str, minimum: int = 1) -> int:
 
 
 def _checked_number(value, name: str) -> float:
-    """`value` as a float; what `float()` refuses is refused."""
+    """`value` as a float; bools, text and what `float()` refuses are refused."""
     try:
+        if isinstance(value, (bool, np.bool_, str, bytes)):
+            raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ParameterError(f"{name} must be a number, got {value!r}") from None

@@ -28,7 +28,8 @@ class Mesh1D:
     bound in this package is phrased in.  The nodes must convert to a 1-D
     float64 array (`errors._checked_floats`); they are checked, and these
     fields computed, by the rule of `_checked_gaps`, which `_of_rows`
-    applies once to the node rows of many meshes.
+    applies once to the node rows of many meshes.  Either way `_store` sets
+    the five fields, once they are checked.
     """
 
     nodes: np.ndarray
@@ -38,13 +39,15 @@ class Mesh1D:
     h_max: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _checked_integer(self.seed, "seed"))
+        seed = _checked_integer(self.seed, "seed")
         nodes = _checked_floats(self.nodes, "mesh nodes", 1)
-        object.__setattr__(self, "nodes", nodes)
         gaps, h_max = _checked_gaps(nodes[None])
-        object.__setattr__(self, "gaps", gaps[0])
-        object.__setattr__(self, "n_elements", gaps.shape[1])
-        object.__setattr__(self, "h_max", float(h_max[0]))
+        self._store(nodes, seed, gaps[0], float(h_max[0]))
+
+    def _store(self, nodes: np.ndarray, seed: int, gaps: np.ndarray, h_max: float) -> Mesh1D:
+        """Set the five fields of this mesh from values already checked; return it."""
+        self.__dict__.update(nodes=nodes, seed=seed, gaps=gaps, n_elements=gaps.size, h_max=h_max)
+        return self
 
     @classmethod
     def _of_rows(cls, nodes: np.ndarray, seeds: np.ndarray) -> Iterator[Mesh1D]:
@@ -52,20 +55,14 @@ class Mesh1D:
 
         Mesh j equals ``Mesh1D(nodes=nodes[j], seed=seeds[j])`` field for
         field, but the rows are checked once, as one array, when called; the
-        meshes are built as they are taken.  `seeds` is a 1-D integer array
-        of T entries, stored as Python ints.
+        meshes are built as they are taken, their fields stored without
+        `__post_init__`.  `seeds` is a 1-D integer array of T entries, stored
+        as Python ints.
         """
         _checked_seeds(seeds)
         gaps, h_max = _checked_gaps(nodes)
-        rows = zip(nodes, gaps, seeds.tolist(), h_max.tolist(), strict=True)
-        return (cls._unchecked(*row) for row in rows)
-
-    @classmethod
-    def _unchecked(cls, nodes: np.ndarray, gaps: np.ndarray, seed: int, h_max: float) -> Mesh1D:
-        """The mesh of fields already checked, without `__post_init__`."""
-        mesh = object.__new__(cls)
-        mesh.__dict__.update(nodes=nodes, seed=seed, gaps=gaps, n_elements=gaps.size, h_max=h_max)
-        return mesh
+        rows = zip(nodes, seeds.tolist(), gaps, h_max.tolist(), strict=True)
+        return (object.__new__(cls)._store(*row) for row in rows)
 
 
 def _checked_gaps(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, ParameterError, _checked_count, _checked_integer
+from .errors import (InsufficientDataError, ParameterError, _checked_count, _checked_integer,
+                     _checked_number)
 from .laws import ElementPair, _checked_h
 from .rng import _blocks, _rows_per_block, derive_key, uniforms
 
@@ -63,8 +64,9 @@ class McEstimate:
     def __post_init__(self):
         object.__setattr__(self, "seed", _checked_integer(self.seed, "seed"))
         _checked_count(self.n_trials, "n_trials")
+        object.__setattr__(self, "p_hat", _checked_number(self.p_hat, "p_hat"))
         if not 0.0 <= self.p_hat <= 1.0:
-            raise ParameterError("p_hat must lie in [0, 1]")
+            raise ParameterError(f"p_hat must lie in [0, 1], got {self.p_hat!r}")
         object.__setattr__(
             self,
             "std_error",

@@ -114,7 +114,7 @@ _SINE_PATTERN = re.compile(r"^sine(\d+)$")
 
 
 def available_problems() -> tuple[str, ...]:
-    """The fixed names `get_problem` accepts; it also accepts sineN for any N >= 1."""
+    """The fixed names `get_problem` accepts; it also accepts some sineN (see there)."""
     return tuple(_FIXED)
 
 
@@ -122,7 +122,10 @@ def get_problem(name: str) -> Problem1D:
     """Look up a library problem by name.
 
     `sine` and `sineN` give u = sin(N*pi*x); `poly2`..`poly4` give
-    u = x**(a)*(1-x) for a = 1..3.  A name that is not a string is a
+    u = x**(a)*(1-x) for a = 1..3.  An unknown name, or a sineN with
+    N >= 10**307, is an `UnsupportedProblemError`.  A smaller N whose
+    sin(N*pi) does not round to within 1e-12 of 0 (every N from 1 to 2617
+    does, most larger N do not), or a name that is not a string, is a
     `ParameterError`.
     """
     if not isinstance(name, str):
@@ -130,11 +133,12 @@ def get_problem(name: str) -> Problem1D:
     if name in _FIXED:
         return _FIXED[name]
     match = _SINE_PATTERN.match(name)
-    if match:
-        frequency = int(match.group(1))
-        if frequency >= 1:
-            return _make_sine(frequency)
+    digits = match.group(1).lstrip("0") if match else ""
+    # N < 10**307 keeps N*pi a finite float (and int() within its digit limit)
+    if 0 < len(digits) <= 307:
+        return _make_sine(int(digits))
     raise UnsupportedProblemError(
         f"unknown problem {name!r}; available: {', '.join(available_problems())}"
-        " and sineN for any integer N >= 1"
+        " and sineN for an integer N from 1 to 2617, or a larger N below 10**307"
+        f" whose sin(N*pi) rounds to within {_BOUNDARY_TOL:g} of 0"
     )

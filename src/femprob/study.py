@@ -5,13 +5,14 @@ jittered meshes, recovers each family's lumped error constant by log-log
 least squares, and measures how often the high-order family actually beats
 the low-order one, trial by trial, as the mesh size varies.
 
-Trial seeds come from `derive_key(seed, stream, n, trial, ...)`.  The
-superiority sweep derives them, draws its meshes and checks them as one
-array per element count and family (`Mesh1D._of_rows`); the convergence
-study builds and checks its meshes one trial at a time.  Both pass the
-meshes of each element count and family, lazily, to one loop: it solves
-each mesh on its own, then integrates the H1 errors of a chunk of trials
-(as many meshes as one `fem.h1_errors` block holds) in one call.
+Both studies derive the trial seeds of an element count and family in one
+`derive_key(seed, stream, n, trials, ...)` call over the array of trial
+indices.  The superiority sweep draws and checks its meshes as one node
+array (`Mesh1D._of_rows`); the convergence study builds each with
+`build_mesh`.  Both pass the meshes of each element count and family,
+lazily, to one loop: it solves each mesh on its own, then integrates the
+H1 errors of a chunk of trials (as many meshes as one `fem.h1_errors`
+block holds) in one call.
 """
 
 from __future__ import annotations
@@ -62,10 +63,17 @@ class ConvergenceRecord:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 <= self.error_h1_semi <= self.error_h1:
-            raise ParameterError(
-                "error_h1 must dominate error_h1_semi and both must be >= 0"
-            )
+        # one comparison per record (see `fit_constant`); a comparison that
+        # raises, as for an error that is not a number, fails it too
+        try:
+            if 0.0 <= self.error_h1_semi <= self.error_h1:
+                return
+        except (TypeError, ValueError):
+            pass
+        raise ParameterError(
+            "error_h1 and error_h1_semi must be numbers with 0 <= error_h1_semi <= error_h1,"
+            f" got {self.error_h1!r} and {self.error_h1_semi!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -133,13 +141,11 @@ def convergence_study(
     is reproducible and independent of evaluation order.
     """
     n_list = _checked_increasing(n_list, "n_list", _checked_count)
-    trials_per_n = _checked_count(trials_per_n, "trials_per_n")
+    trial_index = np.arange(_checked_count(trials_per_n, "trials_per_n"), dtype=np.uint64)
     records = []
     for n in n_list:
-        meshes = (
-            build_mesh(n, jitter, derive_key(seed, _STREAM_STUDY, n, trial))
-            for trial in range(trials_per_n)
-        )
+        seeds = derive_key(seed, _STREAM_STUDY, n, trial_index).tolist()
+        meshes = (build_mesh(n, jitter, trial_seed) for trial_seed in seeds)
         records.extend(_family_records(problem, order, n, meshes))
     return records
 
@@ -303,10 +309,10 @@ def estimate_half_crossing(
     The superiority probability falls as h grows, so the frequencies are
     first replaced by their least-squares non-increasing fit (pool-adjacent
     violators).  Monte Carlo noise near 1/2 at the coarsest meshes then can
-    no longer add spurious crossings.  The fit's sign changes of p - 1/2 are
-    interpolated linearly in log h; a fit that touches 1/2 on several grid
-    points yields several crossings, and their geometric mean is returned.
-    None when the curve never crosses.
+    no longer add spurious crossings, and the fit has one crossing at most:
+    the geometric mean of the h where it equals 1/2 exactly, if there are
+    any, else the linear interpolation in log h between its last value
+    above 1/2 and its first below.  None when the fit never reaches 1/2.
     """
     h = _checked_floats(h_values, "h_values", 1)
     p = _checked_floats(p_values, "p_values", 1)
@@ -319,16 +325,12 @@ def estimate_half_crossing(
     order = np.argsort(h)
     h = h[order]
     p = _non_increasing_fit(p[order])
-    crossings = []
-    for i in range(len(h) - 1):
-        d0, d1 = p[i] - 0.5, p[i + 1] - 0.5
-        if d0 == 0.0:
-            crossings.append(math.log(h[i]))
-        elif d0 * d1 < 0.0:
-            frac = d0 / (d0 - d1)
-            crossings.append(math.log(h[i]) + frac * (math.log(h[i + 1]) - math.log(h[i])))
-    if p[-1] == 0.5:
-        crossings.append(math.log(h[-1]))
-    if not crossings:
+    at_half = h[p == 0.5]
+    if at_half.size:
+        return float(math.exp(np.mean([math.log(x) for x in at_half])))
+    below = int(np.argmax(p < 0.5))
+    if p[below] > 0.5 or below == 0:
         return None
-    return float(math.exp(np.mean(crossings)))
+    d0, d1 = p[below - 1] - 0.5, p[below] - 0.5
+    log_h = math.log(h[below - 1])
+    return float(math.exp(log_h + d0 / (d0 - d1) * (math.log(h[below]) - log_h)))

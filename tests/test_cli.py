@@ -176,8 +176,17 @@ class TestFemCommand:
         result = run_cli("fem", "--problem", "sine0", expect=2)
         assert result.stderr == (
             "error: unknown problem 'sine0'; available: sine, poly2, poly3, poly4"
-            " and sineN for any integer N >= 1\n"
+            " and sineN for an integer N from 1 to 2617, or a larger N below 10**307"
+            " whose sin(N*pi) rounds to within 1e-12 of 0\n"
         )
+
+    @pytest.mark.parametrize("digits", ["1" + "0" * 400, "9" * 5000],
+                             ids=["float_overflow", "int_digit_limit"])
+    def test_sine_frequency_too_long_is_bad_input(self, digits):
+        # N*pi overflowed a float, or int() refused the digits: a traceback, exit 1
+        result = run_cli("fem", "--problem", f"sine{digits}", "--orders", 1,
+                         "--n-list", "4,8,16", expect=2)
+        assert error_line(result).startswith(f"error: unknown problem 'sine{digits}'")
 
 
 class TestRecordCsv:
@@ -344,7 +353,7 @@ class TestUsageErrors:
         def interrupt(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "tabulate_curve", interrupt)
+        monkeypatch.setattr(cli, "prob_two_step", interrupt)
         result = CliRunner().invoke(cli.main, [str(a) for a in LAW])
         assert result.exit_code == 1
         assert result.output.strip() == "Aborted!"
@@ -416,6 +425,15 @@ class TestUsageErrors:
         config.write_bytes(b"ck=1\nk=1\ncm=2\nm=2\nh_min=0.1\nh_max=1 # \xff\n")
         result = run_cli("law", "--config", config, expect=2)
         assert "latin1.cfg" in error_line(result)
+
+    @pytest.mark.parametrize("command", ["law", "mc"])
+    @pytest.mark.parametrize("h_max", [0.5, "1.0000000000000002"], ids=["below", "next_float"])
+    def test_grid_needs_distinct_sizes(self, command, h_max):
+        # three sizes between adjacent floats repeat one; `mc` estimated it twice
+        trials = ["--trials", 100] if command == "mc" else []
+        result = run_cli(command, *PAIR, "--h-min", 1, "--h-max", h_max, "--points", 3,
+                         *trials, expect=2)
+        assert "h-min must be < h-max" in error_line(result)
 
     @pytest.mark.parametrize("command", ["law", "mc"])
     @pytest.mark.parametrize("flag, value", [("--h-max", "inf"), ("--h-min", "nan")])

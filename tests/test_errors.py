@@ -36,7 +36,7 @@ from femprob.oracle import (
 )
 from femprob.problems import seminorm_reference
 from femprob.rng import derive_key, mix64, uniform_at, uniforms
-from femprob.study import estimate_half_crossing, superiority_sweep
+from femprob.study import ConvergenceRecord, estimate_half_crossing, superiority_sweep
 
 PAIR = ElementPair.from_constants(1.0, 1, 2.0, 2)  # crossover at 0.5
 SINE = get_problem("sine")
@@ -182,11 +182,44 @@ def test_jittered_nodes_seeds_must_be_a_1d_integer_array(n, jitter, seeds):
         jittered_nodes(n, jitter, seeds)
 
 
-@pytest.mark.parametrize("value", [None, "x", math.nan, -1.0])
+@pytest.mark.parametrize("value", [None, "x", math.nan, -1.0, True, "0.25"])
 @pytest.mark.parametrize("name, call", SIZES.values(), ids=SIZES)
 def test_size_must_be_positive_and_finite(name, call, value):
+    # a bool or a numeric string was taken by float(): True as h = 1.0
     with pytest.raises(ParameterError, match=re.escape(name)):
         call(value)
+
+
+@pytest.mark.parametrize("value", [np.float32(0.25), np.float64(0.25), np.array(0.25)],
+                         ids=["float32", "float64", "0-d"])
+@pytest.mark.parametrize("name, call", SIZES.values(), ids=SIZES)
+def test_size_may_be_a_numpy_number(name, call, value):
+    call(value)
+
+
+# the number fields of a result object: (field named in the error, a call
+# passing the value there)
+FIELDS = {
+    "McEstimate": ("p_hat", lambda v: McEstimate(v, 10, 0)),
+    "ConvergenceRecord_full": ("error_h1", lambda v: ConvergenceRecord(1, 4, 0.25, v, 0.1, 0)),
+    "ConvergenceRecord_semi": (
+        "error_h1_semi", lambda v: ConvergenceRecord(1, 4, 0.25, 0.2, v, 0)
+    ),
+}
+
+
+@pytest.mark.parametrize("value", ["x", "0.5", None], ids=["text", "numeric_text", "none"])
+@pytest.mark.parametrize("name, call", FIELDS.values(), ids=FIELDS)
+def test_result_field_must_be_a_number(name, call, value):
+    # unchecked, a comparison with a string or None raised a bare TypeError
+    with pytest.raises(ParameterError, match=re.escape(name)):
+        call(value)
+
+
+def test_p_hat_is_not_a_bool():
+    # unchecked, True was taken as p_hat = 1
+    with pytest.raises(ParameterError, match="^p_hat must be a number, got True$"):
+        McEstimate(True, 10, 0)
 
 
 @pytest.mark.parametrize(

@@ -31,8 +31,18 @@ class TestRegistry:
             assert get_problem(name).name == name
 
     def test_unknown_name_lists_the_sine_family(self):
-        with pytest.raises(UnsupportedProblemError, match=r"sineN for any integer N >= 1"):
+        with pytest.raises(UnsupportedProblemError,
+                           match=r"sineN for an integer N from 1 to 2617, or a larger N"):
             get_problem("nosuch")
+
+    def test_sine_family_is_what_the_dirichlet_check_passes(self):
+        # sin(N*pi) in float64 drifts from 0 as N grows: 2618 is the first N
+        # whose u misses the boundary condition by more than 1e-12
+        assert get_problem("sine2617").name == "sine2617"
+        with pytest.raises(ParameterError, match="Dirichlet"):
+            get_problem("sine2618")
+        with pytest.raises(UnsupportedProblemError):
+            get_problem("sine1" + "0" * 307)
 
     @pytest.mark.parametrize(
         "name", [123, ["sine"], b"sine", None], ids=["int", "list", "bytes", "none"]

@@ -514,3 +514,45 @@ class TestHalfCrossing:
         frac = d0 / (d0 - d1)
         expected = math.exp(math.log(0.2) + frac * (math.log(0.4) - math.log(0.2)))
         assert estimate_half_crossing(h, p) == expected
+
+    @staticmethod
+    def _every_crossing(h_values, p_values):
+        """The crossing as a search over every segment of the fit found it,
+        averaging in log h each sign change and each point at exactly 1/2."""
+        h = np.asarray(h_values, dtype=np.float64)
+        order = np.argsort(h)
+        h = h[order]
+        p = study._non_increasing_fit(np.asarray(p_values, dtype=np.float64)[order])
+        crossings = []
+        for i in range(len(h) - 1):
+            d0, d1 = p[i] - 0.5, p[i + 1] - 0.5
+            if d0 == 0.0:
+                crossings.append(math.log(h[i]))
+            elif d0 * d1 < 0.0:
+                frac = d0 / (d0 - d1)
+                crossings.append(math.log(h[i]) + frac * (math.log(h[i + 1]) - math.log(h[i])))
+        if p[-1] == 0.5:
+            crossings.append(math.log(h[-1]))
+        if not crossings:
+            return None
+        return float(math.exp(np.mean(crossings)))
+
+    @given(
+        st.lists(
+            st.tuples(
+                # few distinct sizes, so that ties occur, in any order
+                st.one_of(st.sampled_from([0.05, 0.1, 0.3, 1.0]),
+                          st.floats(1e-6, 1e3, allow_subnormal=False)),
+                # frequencies on a coarse grid, so that runs at exactly 1/2 occur
+                st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0)),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_the_one_crossing_is_every_crossing_averaged(self, points):
+        # a non-increasing fit meets 1/2 on one run of points or passes it
+        # once, so the average over all its crossings is that one, bit for bit
+        h, p = zip(*points)
+        assert repr(estimate_half_crossing(h, p)) == repr(self._every_crossing(h, p))
