@@ -11,6 +11,13 @@ stderr.  `_cell` is the one rule that formats a value of those files,
 `_row` builds every data row from it and `_params` every `# key=value`
 header line.  Reruns with identical flags and seed produce byte-identical
 files.
+`mc`, `fem` and `compare` compute their independent points (grid sizes,
+orders, element counts) through `_each_point`: on Linux, when the process
+may use two CPUs, one forked worker runs every second point.  It lives
+here and not in the library, because a library call that forked would
+fork whatever program imported it, while this process is the CLI's own.
+The files, stderr lines and exit codes are byte-identical with or without
+the worker.
 Exit codes: 0 success, 1 a requested validation failed, 2 invalid usage or
 input.  `mc`, `fem` and `compare` return the list of their requested
 validations that failed; the group's `main` prints each as an `error:` line
@@ -20,15 +27,19 @@ click type or callback, so its `error:` line names the flag.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
+import pickle
 import re
+import signal
 import sys
 from pathlib import Path
 
 import click
 import numpy as np
 
+from . import fem as _fem
 from .errors import (FemProbError, InsufficientDataError, ParameterError, _checked_count,
                      _checked_increasing)
 from .fem import MAX_ORDER
@@ -154,6 +165,75 @@ def _h_grid(h_min: float, h_max: float, points: int, spacing: str) -> np.ndarray
     if not (grid[1:] > grid[:-1]).all():
         raise ParameterError(f"h-min must be < h-max, by enough for {points} distinct points")
     return grid
+
+
+def _until_failure(run, items) -> tuple[list, Exception | None]:
+    """`run` of each item in order, up to the first that raises: the results
+    before it and its exception, or all results and None."""
+    results = []
+    try:
+        for item in items:
+            results.append(run(item))
+    except Exception as error:  # raised by `_each_point`, in item order
+        return results, error
+    return results, None
+
+
+def _each_point(run, items: list) -> list:
+    """`[run(item) for item in items]`, the odd items run by one forked worker.
+
+    On Linux, when the process may use two CPUs (`fem._WORKERS`) and there
+    are two items or more, one `os.fork()`ed worker runs the odd items and
+    pickles their results, or the results before its first failure and that
+    exception, back through a pipe; this process runs the even ones.  The
+    items are independent and each is computed as a serial loop would, so
+    the results are the same bits either way.  The exception raised is that
+    of the first failing item in item order, as a serial loop raises it; a
+    worker that ends without sending its results (killed, say) counts as
+    failing at its first item, with a `ChildProcessError`.
+    The worker is always reaped; if this process leaves early (an interrupt,
+    an exit), it kills the worker first, and the kernel kills the worker if
+    this process dies.
+    """
+    if sys.platform != "linux" or _fem._WORKERS < 2 or len(items) < 2:
+        return [run(item) for item in items]
+    parent = os.getpid()
+    reader, writer = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the worker: it never returns, and leaves by os._exit only
+        status = 1
+        try:
+            os.close(reader)
+            libc = ctypes.CDLL(None, use_errno=True)
+            libc.prctl.argtypes, libc.prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+            if libc.prctl(1, signal.SIGKILL) != 0:  # PR_SET_PDEATHSIG
+                raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+            if os.getppid() == parent:  # else the parent died before prctl
+                with open(writer, "wb") as results:
+                    pickle.dump(_until_failure(run, items[1::2]), results)
+                status = 0
+        finally:
+            os._exit(status)
+    os.close(writer)
+    with open(reader, "rb") as results:
+        try:
+            evens = _until_failure(run, items[0::2])
+            sent = results.read()
+        except BaseException:  # an interrupt or exit: stop the worker, then leave
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    odds = pickle.loads(sent) if status == 0 else ([], ChildProcessError(
+        f"the worker process of {len(items) // 2} points ended with status {status}"
+        " before it sent their results"))
+    points = []
+    for index in range(len(items)):
+        done, error = (evens, odds)[index % 2]
+        if index // 2 == len(done):  # a serial loop would stop here
+            raise error
+        points.append(done[index // 2])
+    return points
 
 
 def _emit(out: str, lines: list[str], *more: tuple[str, list[str]]) -> None:
@@ -309,10 +389,13 @@ def mc(ck, k, cm, m, h_min, h_max, points, spacing, trials, sigma_factor, valida
         _params(trials=trials, seed=seed, sigma_factor=sigma_factor, validate=validate),
         "h,p_analytic,p_hat,std_error,within_3sigma",
     ]
+    estimates = _each_point(
+        lambda index: mc_estimate(pair, float(grid[index]), trials, derive_key(seed, index)),
+        list(range(len(grid))),
+    )
     all_within = True
-    for index, h in enumerate(grid):
+    for h, estimate in zip(grid, estimates):
         p = prob_sigmoid(pair, float(h))
-        estimate = mc_estimate(pair, float(h), trials, derive_key(seed, index))
         band = sigma_factor * np.sqrt(p * (1.0 - p) / trials)
         within = abs(estimate.p_hat - p) <= band
         all_within &= within
@@ -344,9 +427,10 @@ def fem(problem, orders, n_list, jitter, trials, fix_rate, fit_out, validate_rat
         stem = Path(out)
         fit_out = "-" if out == "-" else str(stem.with_name(f"{stem.stem}_fit{stem.suffix}"))
 
-    records = []
-    for order in orders:
-        records.extend(convergence_study(problem, order, n_list, jitter, trials, seed))
+    studies = _each_point(
+        lambda order: convergence_study(problem, order, n_list, jitter, trials, seed), orders
+    )
+    records = [record for study in studies for record in study]
 
     record_lines = [
         "# femprob fem",
@@ -410,9 +494,12 @@ def compare(problem, order_low, order_high, n_list, jitter, trials, validate_cro
     0.5-crossing, and optionally validates their agreement.
     """
     problem = get_problem(problem)
-    points, records = superiority_sweep(
-        problem, order_low, order_high, n_list, trials, jitter, seed
+    sweeps = _each_point(
+        lambda n: superiority_sweep(problem, order_low, order_high, [n], trials, jitter, seed),
+        n_list,
     )
+    points = [point for sweep_points, _ in sweeps for point in sweep_points]
+    records = [record for _, sweep_records in sweeps for record in sweep_records]
     fitted_low = fit_constant(records, order_low, fix_rate=True)
     fitted_high = fit_constant(records, order_high, fix_rate=True)
     pair = ElementPair.from_constants(

@@ -78,7 +78,12 @@ def _make_sine(frequency: int) -> Problem1D:
     def seminorm(s: int) -> float:
         # every derivative is +-(q*pi)**s times a sine or cosine of q*pi*x,
         # whose squared integral over [0, 1] is 1/2 for integer q
-        return q_pi**s / math.sqrt(2.0)
+        try:
+            return q_pi**s / math.sqrt(2.0)
+        except OverflowError:
+            raise ParameterError(
+                f"seminorm order s = {s} overflows (q*pi)**s for q = {frequency}"
+            ) from None
 
     return Problem1D(
         name="sine" if frequency == 1 else f"sine{frequency}",

@@ -2,14 +2,16 @@
 of the output writer."""
 
 import os
+import signal
 import stat
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
 
-from femprob import cli, convergence_study, get_problem
+from femprob import ParameterError, cli, convergence_study, fem, get_problem
 
 SINE = get_problem("sine")
 
@@ -645,8 +647,177 @@ class TestAtomicOutput:
         assert stat.S_ISFIFO(pipe.stat().st_mode)
 
 
-def _scipy_loaded_after(code):
-    code += "; import sys; print('scipy' in sys.modules)"
+def _no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _alive(pid):
+    """True while process `pid` runs (a zombie has ended)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat_file:
+            return stat_file.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
+
+
+class TestPointRunner:
+    """`cli._each_point` hands the odd points of `mc`, `fem` and `compare`
+    to one forked worker when the process may use two CPUs (`fem._WORKERS`);
+    nothing a caller sees depends on it, and no worker outlives its call."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the workers forked while a test runs."""
+        pids = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return pids
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the worker forks on Linux only")
+    @pytest.mark.parametrize("args", [
+        ["mc", *PAIR, "--h-min", 0.1, "--h-max", 1.5, "--points", 5, "--trials", 20000,
+         "--seed", 2026],
+        ["fem", "--problem", "sine24", "--orders", "1,2,3", "--n-list", "8,16,32",
+         "--jitter", 0.3, "--trials", 2, "--seed", 7],
+        ["compare", "--problem", "sine24", "--n-list", "2,3,4,6,8", "--trials", 20,
+         "--validate-crossing", "--seed", 2026],
+    ])
+    def test_worker_changes_no_byte(self, tmp_path, monkeypatch, forks, args):
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(fem, "_WORKERS", workers)
+            out = tmp_path / f"{workers}.csv"
+            result = CliRunner().invoke(cli.main, [*map(str, args), "--out", str(out)])
+            files = sorted((p.name[1:], p.read_bytes()) for p in tmp_path.glob(f"{workers}*"))
+            runs[workers] = result.exit_code, result.output, files
+            assert len(forks) == workers - 1  # one worker at two CPUs, none at one
+        assert runs[2] == runs[1]
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("failing, first", [
+        ({2, 3}, 2),  # the worker's order 2 precedes the caller's order 3
+        ({3, 4}, 3),  # the caller's order 3 precedes the worker's order 4
+        ({1, 2, 3, 4}, 1),
+        ({4}, 4),
+    ])
+    def test_first_failing_point_in_point_order_is_the_error(self, monkeypatch, failing,
+                                                            first):
+        def study(problem, order, *args):
+            if order in failing:
+                raise ParameterError(f"order {order} fails")
+            return convergence_study(problem, order, *args)
+
+        monkeypatch.setattr(cli, "convergence_study", study)
+        lines = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(fem, "_WORKERS", workers)
+            result = CliRunner().invoke(
+                cli.main, ["fem", "--orders", "1,2,3,4", "--n-list", "4,8,16"]
+            )
+            assert result.exit_code == 2
+            lines[workers] = result.stderr
+        assert lines[2] == lines[1] == f"error: order {first} fails\n"
+        assert _no_child_left()
+
+    def test_points_come_back_in_order_and_the_worker_is_reaped(self, monkeypatch, forks):
+        monkeypatch.setattr(fem, "_WORKERS", 2)
+        assert cli._each_point(lambda x: x * x, [0.5, 1, 2, 3, 4]) == [0.25, 1, 4, 9, 16]
+        assert cli._each_point(str, [7]) == ["7"]  # one point runs here, unforked
+        assert len(forks) == (sys.platform == "linux") and _no_child_left()
+
+    def test_failure_in_the_workers_share_is_raised_and_reaped(self, monkeypatch):
+        monkeypatch.setattr(fem, "_WORKERS", 2)
+
+        def run(item):
+            if item == 3:
+                raise ValueError(f"point {item}")
+            return item
+
+        with pytest.raises(ValueError, match="^point 3$"):
+            cli._each_point(run, list(range(6)))
+        assert _no_child_left()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the worker forks on Linux only")
+    def test_worker_that_ends_without_results_fails_its_first_point(self, monkeypatch):
+        monkeypatch.setattr(fem, "_WORKERS", 2)
+
+        def run(item):
+            if item == 1:
+                os._exit(3)  # runs in the worker only
+            if item == 2:
+                raise ValueError("point 2")
+            return item
+
+        with pytest.raises(ChildProcessError, match="ended with status 3"):
+            cli._each_point(run, [0, 1, 2])
+        with pytest.raises(ValueError, match="^point 2$"):
+            cli._each_point(run, [2, 1])  # the caller's point 2 comes first
+        assert _no_child_left()
+
+    def test_interrupt_in_the_callers_share_kills_the_worker(self, monkeypatch, forks):
+        monkeypatch.setattr(fem, "_WORKERS", 2)
+
+        def run(item):
+            if item == 0:
+                raise KeyboardInterrupt
+            time.sleep(60)  # the worker's point: only a kill ends it in time
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli._each_point(run, [0, 1])
+        assert time.monotonic() - start < 30
+        assert _no_child_left()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the worker forks on Linux only")
+    def test_killed_cli_leaves_no_worker(self):
+        # the CLI announces its worker's pid, then is killed mid-sweep
+        code = (
+            "import os, sys\n"
+            "from femprob import cli, fem\n"
+            "fem._WORKERS = 2\n"
+            "fork = os.fork\n"
+            "def announced_fork():\n"
+            "    pid = fork()\n"
+            "    if pid:\n"
+            "        print(pid, file=sys.stderr, flush=True)\n"
+            "    return pid\n"
+            "os.fork = announced_fork\n"
+            "cli.main(['compare', '--problem', 'sine24', '--n-list', '2,3,4,6,8,12,16,24',"
+            " '--trials', '20000', '--out', os.devnull])\n"
+        )
+        proc = subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.DEVNULL,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        worker = None
+        try:
+            worker = int(proc.stderr.readline())
+            time.sleep(0.3)
+            assert proc.poll() is None and _alive(worker)  # still sweeping
+            proc.kill()
+            proc.wait(timeout=30)
+            time.sleep(1.0)
+            assert not _alive(worker)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stderr.close()
+            if worker is not None and _alive(worker):
+                os.kill(worker, signal.SIGKILL)
+
+
+def _loaded_after(code, module="scipy"):
+    code += f"; import sys; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
@@ -654,7 +825,7 @@ def _scipy_loaded_after(code):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    assert _scipy_loaded_after("import femprob.cli") == "False"
+    assert _loaded_after("import femprob.cli") == "False"
 
 
 def test_solve_leaves_scipy_unloaded():
@@ -662,4 +833,11 @@ def test_solve_leaves_scipy_unloaded():
         "import femprob as fp; p = fp.get_problem('sine');"
         " fp.h1_error(fp.assemble_solve(fp.build_mesh(8, 0.3, 1), 3, p), p)"
     )
-    assert _scipy_loaded_after(code) == "False"
+    assert _loaded_after(code) == "False"
+
+
+@pytest.mark.parametrize("module", ["multiprocessing", "concurrent.futures"])
+def test_cli_import_leaves_process_pools_unloaded(module):
+    # the CLI forks its one worker itself; a pool module's import, or its
+    # spawn start method's fresh interpreter, would cost every CLI start
+    assert _loaded_after("import femprob.cli", module) == "False"

@@ -138,3 +138,12 @@ class TestSeminorms:
     def test_rejects_bad_order(self):
         with pytest.raises(ParameterError):
             seminorm_reference(get_problem("sine"), 0)
+
+    @pytest.mark.parametrize("name, s", [("sine", 700), ("sine24", 200)])
+    def test_overflowing_order_is_a_parameter_error(self, name, s):
+        with pytest.raises(ParameterError, match=f"seminorm order s = {s} overflows"):
+            seminorm_reference(get_problem(name), s)
+
+    def test_polynomial_seminorm_above_its_degree_is_zero(self):
+        for name in ("poly2", "poly3", "poly4"):
+            assert seminorm_reference(get_problem(name), 700) == 0.0
