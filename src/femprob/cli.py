@@ -13,11 +13,16 @@ header line.  Reruns with identical flags and seed produce byte-identical
 files.
 `mc`, `fem` and `compare` compute their independent points (grid sizes,
 orders, element counts) through `_each_point`: on Linux, when the process
-may use two CPUs, one forked worker runs every second point.  It lives
-here and not in the library, because a library call that forked would
-fork whatever program imported it, while this process is the CLI's own.
-The files, stderr lines and exit codes are byte-identical with or without
-the worker.
+may use two CPUs, one forked worker runs every second point, by the split
+rule of `fem._half` that `fem`'s helper thread shares.  It lives here and
+not in the library, because a library call that forked would fork whatever
+program imported it, while this process is the CLI's own.  The files,
+stderr lines and exit codes are byte-identical with or without the worker.
+Python 3.12 and later warn of a fork in a process that holds other OS
+threads once the before-fork hooks have run; numpy's OpenBLAS starts a
+thread pool at import, but its fork handler parks the pool, so this
+process is one thread at each fork.  A BLAS that kept its threads across
+`fork()` would draw the warning.
 Exit codes: 0 success, 1 a requested validation failed, 2 invalid usage or
 input.  `mc`, `fem` and `compare` return the list of their requested
 validations that failed; the group's `main` prints each as an `error:` line
@@ -167,36 +172,25 @@ def _h_grid(h_min: float, h_max: float, points: int, spacing: str) -> np.ndarray
     return grid
 
 
-def _until_failure(run, items) -> tuple[list, Exception | None]:
-    """`run` of each item in order, up to the first that raises: the results
-    before it and its exception, or all results and None."""
-    results = []
-    try:
-        for item in items:
-            results.append(run(item))
-    except Exception as error:  # raised by `_each_point`, in item order
-        return results, error
-    return results, None
-
-
 def _each_point(run, items: list) -> list:
     """`[run(item) for item in items]`, the odd items run by one forked worker.
 
     On Linux, when the process may use two CPUs (`fem._WORKERS`) and there
     are two items or more, one `os.fork()`ed worker runs the odd items and
-    pickles their results, or the results before its first failure and that
-    exception, back through a pipe; this process runs the even ones.  The
-    items are independent and each is computed as a serial loop would, so
-    the results are the same bits either way.  The exception raised is that
-    of the first failing item in item order, as a serial loop raises it; a
-    worker that ends without sending its results (killed, say) counts as
-    failing at its first item, with a `ChildProcessError`.
+    this process the even ones, each half by `fem._half`, the package's one
+    split rule; the worker pickles its results and its failure back through
+    a pipe.  The items are independent and each is computed as a serial loop
+    would, so the results are the same bits either way.  The exception
+    raised is that of the first failing item in item order, as a serial loop
+    raises it; a worker that ends without sending its half (killed, say)
+    counts as failing at its first item, with a `ChildProcessError`.
     The worker is always reaped; if this process leaves early (an interrupt,
     an exit), it kills the worker first, and the kernel kills the worker if
     this process dies.
     """
     if sys.platform != "linux" or _fem._WORKERS < 2 or len(items) < 2:
         return [run(item) for item in items]
+    results, failures = {}, {}  # item index -> its result, or its exception
     parent = os.getpid()
     reader, writer = os.pipe()
     pid = os.fork()
@@ -209,31 +203,30 @@ def _each_point(run, items: list) -> list:
             if libc.prctl(1, signal.SIGKILL) != 0:  # PR_SET_PDEATHSIG
                 raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
             if os.getppid() == parent:  # else the parent died before prctl
-                with open(writer, "wb") as results:
-                    pickle.dump(_until_failure(run, items[1::2]), results)
+                with open(writer, "wb") as half:
+                    _fem._half(run, items, 1, results, failures)
+                    pickle.dump((results, failures), half)
                 status = 0
         finally:
             os._exit(status)
     os.close(writer)
-    with open(reader, "rb") as results:
+    with open(reader, "rb") as half:
         try:
-            evens = _until_failure(run, items[0::2])
-            sent = results.read()
+            _fem._half(run, items, 0, results, failures)
+            sent = half.read()
         except BaseException:  # an interrupt or exit: stop the worker, then leave
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    odds = pickle.loads(sent) if status == 0 else ([], ChildProcessError(
+    odd_results, odd_failures = pickle.loads(sent) if status == 0 else ({}, {1: ChildProcessError(
         f"the worker process of {len(items) // 2} points ended with status {status}"
-        " before it sent their results"))
-    points = []
-    for index in range(len(items)):
-        done, error = (evens, odds)[index % 2]
-        if index // 2 == len(done):  # a serial loop would stop here
-            raise error
-        points.append(done[index // 2])
-    return points
+        " before it sent their results")})
+    results.update(odd_results)
+    failures.update(odd_failures)
+    if failures:
+        raise failures[min(failures)]
+    return [results[index] for index in range(len(items))]
 
 
 def _emit(out: str, lines: list[str], *more: tuple[str, list[str]]) -> None:

@@ -21,9 +21,11 @@ per-element results only (loads, weighted squared errors); the global
 reductions (the solve's running sums, the sums of the error integrals over
 elements) run once per mesh over all its elements afterwards.  A call of
 more than one block splits its blocks between the calling thread and one
-helper thread (`_each_block`); each block writes only its own elements'
-results, so the results do not depend on the split, nor on whether a
-helper runs at all (a process on one CPU has none).  Reruns at one block
+helper thread (`_each_block`), each running its half by `_half`, the
+package's one split rule, which the CLI's forked worker shares
+(`cli._each_point`).  Each block writes only its own elements' results, so
+the results do not depend on the split, nor on whether a helper runs at
+all (a process on one CPU has none).  Reruns at one block
 size are byte-identical, and a mesh's results do not depend on
 which other meshes share its block.  Another block size may move the last
 bits: a block of one element takes numpy's one-row path through the
@@ -190,39 +192,68 @@ def _points(lengths: np.ndarray, lefts: np.ndarray, point_map: np.ndarray) -> np
     return edges @ point_map
 
 
+def _half(run, items: list, first: int, results: dict, failures: dict) -> None:
+    """Run `run` of items `first`, `first + 2`, ... in order: one half of a split.
+
+    Each result goes into `results` under its item's index.  The first item
+    that raises ends the half, its exception going into `failures` under its
+    index.  This is the package's one split rule: `_each_block` runs the two
+    halves of a call's blocks on the calling thread and a helper thread, and
+    `cli._each_point` the two halves of a command's points in the CLI process
+    and a forked worker.  Both then raise ``failures[min(failures)]``, the
+    exception of the first failing item in item order, which is the one a
+    serial loop raises, since each half ran in order up to its first failure.
+    """
+    for index in range(first, len(items), 2):
+        try:
+            results[index] = run(items[index])
+        except Exception as error:  # raised by the caller of both halves, in item order
+            failures[index] = error
+            return
+
+
 def _each_block(body, blocks: list) -> None:
     """Call `body(*block)` once for each block, the blocks split between two threads.
 
     The calling thread runs the even blocks and one helper thread the odd
-    ones; with one block, or with `_WORKERS` at 1, every block runs inline,
-    with no thread.  The bodies must write disjoint results, so the results
-    do not depend on the split.  If blocks raise, the exception of the first
-    of them in block order is raised once the helper has ended: the one a
-    serial loop would raise.
+    ones, each by `_half`; with one block, or with `_WORKERS` at 1, every
+    block runs inline, with no thread.  The bodies must write disjoint
+    results, so the results do not depend on the split.  If blocks raise,
+    the exception of the first of them in block order is raised once the
+    helper has ended: the one a serial loop would raise.
     """
     if _WORKERS < 2 or len(blocks) < 2:
         for block in blocks:
             body(*block)
         return
-    failures = {}  # block index -> its exception; each thread stops at its first
 
-    def run(first: int) -> None:
-        for index in range(first, len(blocks), 2):
-            try:
-                body(*blocks[index])
-            except Exception as error:  # re-raised by the caller, in block order
-                failures[index] = error
-                return
+    def run(block) -> None:
+        body(*block)
 
-    helper = threading.Thread(target=run, args=(1,))
+    failures = {}  # block index -> its exception; each half stops at its first
+    helper = threading.Thread(target=_half, args=(run, blocks, 1, {}, failures))
     try:
         helper.start()
-        run(0)
+        _half(run, blocks, 0, {}, failures)
     finally:
         if helper.ident is not None:  # started: a failed start raises above
             helper.join()
     if failures:
         raise failures[min(failures)]
+
+
+def _problem_values(problem: Problem1D, name: str, x: np.ndarray) -> np.ndarray:
+    """The values of `problem`'s callable `name` at the points `x`, as float64.
+
+    Complex or text values are a `ParameterError` naming the problem and the
+    callable, where numpy would drop an imaginary part with only a warning,
+    parse numeric text, or fail on other text with an error of its own.
+    """
+    values = np.asarray(getattr(problem, name)(x))
+    if values.dtype.kind in "cSU":
+        raise ParameterError(f"problem {problem.name!r}: {name} values must be real numbers,"
+                             f" got dtype {values.dtype}")
+    return values.astype(np.float64, copy=False)
 
 
 def _element_loads(mesh: Mesh1D, k: int, problem: Problem1D) -> np.ndarray:
@@ -233,7 +264,7 @@ def _element_loads(mesh: Mesh1D, k: int, problem: Problem1D) -> np.ndarray:
 
     def load(_, elements: slice) -> None:
         x_quad = _points(lengths[elements], lefts[elements], point_map)
-        f_quad = np.asarray(problem.source(x_quad), dtype=np.float64)
+        f_quad = _problem_values(problem, "source", x_quad)
         if not np.isfinite(f_quad).all():
             raise ParameterError(
                 f"problem {problem.name!r}: source values must not contain infs or NaNs"
@@ -345,8 +376,8 @@ def h1_errors(
         # u_h, then u_h - u, then its square
         diff = coeffs @ values.T
         ddiff = slope_coeffs @ derivs[:, 1:].T
-        diff -= np.asarray(problem.exact_solution(x_quad), dtype=np.float64)
-        ddiff -= np.asarray(problem.exact_derivative(x_quad), dtype=np.float64)
+        diff -= _problem_values(problem, "exact_solution", x_quad)
+        ddiff -= _problem_values(problem, "exact_derivative", x_quad)
         diff *= diff
         ddiff *= ddiff
         l2_elements[trials, elements] = diff @ weights

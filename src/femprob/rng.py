@@ -23,7 +23,8 @@ integer array of keys, one row each, and each element equals its scalar call.
 
 `_blocks` is the package's one tiling rule: it cuts a (rows x width)
 array into blocks of about `_BLOCK` values, whole rows when a row fits,
-else the columns of one row at a time.  `uniforms` walks its (keys x
+else the columns of one row at a time, in one loop that also yields the
+one block of a small array.  `uniforms` walks its (keys x
 counters) output with it, so a call with any number of keys and any count
 holds at most one block of counters, and its callers (`mesh`, `oracle`)
 cut no blocks of their own.  The counters of a block are one uint64 add
@@ -86,11 +87,6 @@ def _blocks(rows: int, width: int, unit: int = 1, size: int | None = None):
     """
     # a block of columns holds as many cells as rows of one cell would
     step, columns = _rows_per_block(width, unit, size), _rows_per_block(1, unit, size)
-    # at most one block, yielded directly: a small solve walks one block per call
-    if rows <= step and width <= columns:
-        if rows and width:
-            yield slice(0, rows), slice(0, width)
-        return
     for start in range(0, rows, step):
         for first in range(0, width, columns):
             yield slice(start, min(start + step, rows)), slice(first, min(first + columns, width))

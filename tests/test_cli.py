@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through real subprocesses, plus in-process checks
 of the output writer."""
 
+import itertools
 import os
 import signal
 import stat
@@ -815,6 +816,79 @@ class TestPointRunner:
             if worker is not None and _alive(worker):
                 os.kill(worker, signal.SIGKILL)
 
+
+
+def _outcome(call):
+    """What `call()` does: ("returned", its value) or ("raised", type, args)."""
+    try:
+        return "returned", call()
+    except Exception as error:  # compared with a serial loop's, by type and args
+        return "raised", type(error), error.args
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("count", range(1, 6))
+def test_both_splits_match_a_serial_loop(monkeypatch, count, workers):
+    # every subset of failing items: the forked worker's points and the helper
+    # thread's blocks give what a serial loop returns, or raise what it raises,
+    # and each half of the blocks stops at its first failure
+    monkeypatch.setattr(fem, "_WORKERS", workers)
+    items = list(range(count))
+    step = workers  # the blocks of one half are `step` apart
+    for failing in itertools.chain.from_iterable(
+            itertools.combinations(items, size) for size in range(count + 1)):
+        def run(item):
+            if item in failing:
+                raise ValueError(f"item {item}")
+            return item * item
+
+        serial = _outcome(lambda: [run(item) for item in items])
+        assert _outcome(lambda: cli._each_point(run, items)) == serial
+        ran, written = set(), {}
+
+        def body(item):
+            ran.add(item)
+            written[item] = run(item)
+
+        blocks = _outcome(lambda: fem._each_block(body, [(item,) for item in items]))
+        assert ran == {item for item in items
+                       if not any(bad < item and (item - bad) % step == 0 for bad in failing)}
+        if serial[0] == "raised":
+            assert blocks == serial
+        else:
+            assert blocks == ("returned", None) and written == dict(enumerate(serial[1]))
+    assert _no_child_left()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the worker forks on Linux only")
+@pytest.mark.parametrize("args", [
+    ["mc", *PAIR, "--h-min", 0.1, "--h-max", 1.5, "--points", 4, "--trials", 1000],
+    ["fem", "--problem", "sine24", "--orders", "1,2", "--n-list", "8,16"],
+    ["compare", "--problem", "sine24", "--n-list", "2,4,8", "--trials", 10],
+], ids=["mc", "fem", "compare"])
+def test_cli_forks_its_worker_from_one_thread(args):
+    # Python >= 3.12 warns of os.fork() in a process of several OS threads,
+    # counted once the before-fork hooks have run.  numpy's OpenBLAS starts a
+    # thread pool at import, but its own fork handler parks the pool, so the
+    # CLI process is one thread at each fork; a BLAS that kept its threads
+    # across fork() would draw the warning
+    code = (
+        "import os, sys\n"
+        "from femprob import cli, fem\n"
+        "fem._WORKERS = 2\n"
+        "def threads():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return [line.split()[1] for line in status if line.startswith('Threads:')]\n"
+        "os.register_at_fork(after_in_parent=lambda: print('threads at fork', *threads(),"
+        " file=sys.stderr, flush=True))\n"
+        f"cli.main({list(map(str, args))!r} + ['--out', os.devnull])\n"
+    )
+    result = subprocess.run([sys.executable, "-W", "always::DeprecationWarning", "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    forks = [line for line in result.stderr.splitlines() if line.startswith("threads at fork")]
+    assert forks == ["threads at fork 1"]
+    assert "multi-threaded" not in result.stderr  # the 3.12 warning's words
 
 def _loaded_after(code, module="scipy"):
     code += f"; import sys; print({module!r} in sys.modules)"

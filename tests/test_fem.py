@@ -222,6 +222,24 @@ class TestAssembleSolve:
         with pytest.raises(ParameterError, match="'nan-exact'"):
             convergence_study(nan_exact, 2, [4, 8], 0.2, 2, seed=3)
 
+    @pytest.mark.parametrize("field", ["source", "exact_solution", "exact_derivative"])
+    @pytest.mark.parametrize("make_values, dtype", [
+        (lambda x, real: real(x) + 1j, "complex128"),  # numpy would keep the real part
+        (lambda x, real: real(x).astype(str), "<U"),  # numpy would parse the text
+        (lambda x, real: np.full(x.shape, "x"), "<U1"),  # numpy's own ValueError
+    ], ids=["complex", "numeric_text", "text"])
+    def test_problem_values_must_be_real_numbers(self, field, make_values, dtype):
+        def values(x):
+            # real at both ends, so the problem passes its boundary check
+            return make_values(x, getattr(SINE, field)) if x.ndim else getattr(SINE, field)(x)
+
+        bad = dataclasses.replace(SINE, name="bad-values", **{field: values})
+        mesh = build_mesh(6, 0.2, seed=3)
+        message = (f"^problem 'bad-values': {field} values must be real numbers,"
+                   f" got dtype {dtype}")
+        with pytest.raises(ParameterError, match=message):
+            h1_error(assemble_solve(mesh, 2, bad), bad)
+
     @pytest.mark.parametrize("order", [1, 2, 4, 7, 10])
     def test_galerkin_residual_small(self, order):
         mesh = build_mesh(12, 0.25, seed=order)
