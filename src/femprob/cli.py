@@ -24,10 +24,12 @@ thread pool at import, but its fork handler parks the pool, so this
 process is one thread at each fork.  A BLAS that kept its threads across
 `fork()` would draw the warning.
 Exit codes: 0 success, 1 a requested validation failed, 2 invalid usage or
-input.  `mc`, `fem` and `compare` return the list of their requested
-validations that failed; the group's `main` prints each as an `error:` line
-and alone decides the exit code.  Every bad flag value is refused by its
-click type or callback, so its `error:` line names the flag.
+input, or out of memory.  `mc`, `fem` and `compare` return the list of their
+requested validations that failed; the group's `main` prints each as an
+`error:` line and alone decides the exit code.  Every bad flag value is
+refused by its click type or callback, so its `error:` line names the flag;
+a count flag (`--trials`, `--points`, `--k`, `--m`, every `--n-list` entry)
+is at most `errors.MAX_COUNT`, 2**53.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ import click
 import numpy as np
 
 from . import fem as _fem
-from .errors import (FemProbError, InsufficientDataError, ParameterError, _checked_count,
-                     _checked_increasing)
+from .errors import (MAX_COUNT, FemProbError, InsufficientDataError, ParameterError,
+                     _checked_count, _checked_increasing)
 from .fem import MAX_ORDER
 from .laws import ElementPair, prob_sigmoid, prob_two_step
 from .oracle import mc_estimate
@@ -270,8 +272,9 @@ def _emit(out: str, lines: list[str], *more: tuple[str, list[str]]) -> None:
 
 
 class _Femprob(click.Group):
-    """The command group and its one exit boundary: bad usage, bad input or
-    an unusable file path leaves as one `error:` line and exit 2; each failed
+    """The command group and its one exit boundary: bad usage, bad input, an
+    unusable file path or running out of memory, in this process or in the
+    forked worker, leaves as one `error:` line and exit 2; each failed
     validation a command returns leaves as one `error:` line, and any of
     them as exit 1; otherwise the exit code is 0."""
 
@@ -289,8 +292,8 @@ class _Femprob(click.Group):
             message = f"missing required parameter {exc.param.opts[0]}"
         except click.ClickException as exc:
             message = exc.format_message()
-        except (FemProbError, OSError) as exc:
-            message = str(exc)
+        except (FemProbError, OSError, MemoryError) as exc:
+            message = str(exc) or type(exc).__name__  # a bare MemoryError has no text
         else:
             # `--help` returns 0 here and `law` returns None: neither failed
             for failure in failures or []:
@@ -316,7 +319,7 @@ _config_option = click.option(
 )
 _problem_option = click.option("--problem", default="sine", help="Library problem name.")
 _positive = _Finite(0.0, min_open=True)
-_count = click.IntRange(min=1)
+_count = click.IntRange(1, MAX_COUNT)  # the library's count ceiling, named by flag
 _jitter = _Finite(0.0, 0.5, max_open=True)  # keeps every jittered mesh ordered
 
 

@@ -11,12 +11,28 @@ any other number (a jitter).  `_checked_increasing` applies one of them to
 every entry of a sweep (element counts, a grid of mesh sizes), and
 `_checked_floats` is the rule for an array of numbers (mesh nodes, the
 points of a probability curve).
+
+`_checked_real` is the one dtype rule, the only code of the package that
+reads a numpy dtype kind: real numbers are kinds ``i``, ``u`` and ``f``
+(signed and unsigned integers, floats), integers only ``i`` and ``u``, and
+bools, complex numbers, text and objects are neither.  Every numpy input
+passes it: a numpy scalar or 0-d array given as a number, the arrays of
+`_checked_floats`, the node rows, slopes and bubbles of `fem.h1_errors`,
+the values of a problem's callables, the errors `study.fit_constant` fits
+and the integer arrays of `rng`.
+
+A count is at most `MAX_COUNT`, 2**53, the largest integer up to which
+float64 holds every integer exactly: trial, element and grid counts enter
+float arithmetic (``wins / trials``, ``1 / n_elements``).  Only the draw
+counts, offsets and indices of `rng`, which stay integers, go beyond it.
 """
 
 import math
 import operator
 
 import numpy as np
+
+MAX_COUNT = 2**53  # the largest count, see above
 
 
 class FemProbError(Exception):
@@ -48,18 +64,31 @@ def _checked_integer(value, name: str) -> int:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _checked_count(value, name: str, minimum: int = 1) -> int:
-    """`value` as an int of at least `minimum`, by the rule of `_checked_integer`."""
+def _checked_count(value, name: str, minimum: int = 1, maximum: float = MAX_COUNT) -> int:
+    """`value` as an int in [`minimum`, `maximum`], by the rule of `_checked_integer`."""
     value = _checked_integer(value, name)
-    if value < minimum:
-        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+    if not minimum <= value <= maximum:
+        raise ParameterError(f"{name} must lie in [{minimum}, {maximum}], got {value}")
     return value
 
 
+def _checked_real(values, name: str, integer: bool = False):
+    """`values`, a numpy array or scalar, if its dtype holds real numbers
+    (kinds i, u and f) or, with `integer`, integers (kinds i and u); any
+    other dtype is a `ParameterError` naming `name`."""
+    if values.dtype.kind not in ("iu" if integer else "iuf"):
+        raise ParameterError(f"{name} must be {'integers' if integer else 'real numbers'},"
+                             f" got dtype {values.dtype}")
+    return values
+
+
 def _checked_number(value, name: str) -> float:
-    """`value` as a float; bools, text and what `float()` refuses are refused."""
+    """`value` as a float: a numpy scalar or 0-d array by `_checked_real`, or
+    what `float()` takes but a bool or text."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        _checked_real(value, name)
     try:
-        if isinstance(value, (bool, np.bool_, str, bytes)):
+        if isinstance(value, (bool, str, bytes)):
             raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):
@@ -89,16 +118,16 @@ def _checked_increasing(values, name: str, rule) -> list:
 
 
 def _checked_floats(values, name: str, ndim: int) -> np.ndarray:
-    """`values` as a float64 array of `ndim` dimensions; what numpy cannot
-    convert (a string, a ragged list) or an array of another rank is refused."""
+    """`values` as a float64 array of `ndim` dimensions; a ragged list, an
+    array of another rank or one that fails `_checked_real` is refused."""
     try:
-        array = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError):
+        array = np.asarray(values)
+    except ValueError:  # ragged rows
         array = None
     if array is None or array.ndim != ndim:
         raise ParameterError(f"{name} must be a {ndim}-D array of numbers,"
                              f" got {_described(values if array is None else array)}")
-    return array
+    return _checked_real(array, name).astype(np.float64, copy=False)
 
 
 def _described(value) -> str:

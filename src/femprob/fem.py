@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError, _checked_count, _described
+from .errors import ParameterError, _checked_count, _checked_real, _described
 from .mesh import Mesh1D, _checked_gaps
 from .problems import Problem1D
 from .rng import _blocks, _rows_per_block
@@ -127,10 +127,10 @@ def _fem_order(order) -> int:
 def _checked_solves(order, slopes, bubbles, shape: tuple[int, ...]) -> int:
     """The order of the solves these arrays hold, checked by `_fem_order`.
 
-    `slopes` and `bubbles` must be numpy arrays of shape `shape` and
-    ``shape + (k - 1,)``, where `shape` is that of the mesh gaps: (elements,)
-    for one mesh, (meshes, elements) for node rows.  Anything else is a
-    `ParameterError`.
+    `slopes` and `bubbles` must be numpy arrays of real numbers
+    (`errors._checked_real`) of shape `shape` and ``shape + (k - 1,)``,
+    where `shape` is that of the mesh gaps: (elements,) for one mesh,
+    (meshes, elements) for node rows.  Anything else is a `ParameterError`.
     """
     k = _fem_order(order)
     want = shape + (k - 1,)
@@ -140,6 +140,8 @@ def _checked_solves(order, slopes, bubbles, shape: tuple[int, ...]) -> int:
             f"slopes and bubbles of order-{k} solves on these mesh nodes must be arrays"
             f" of shape {shape} and {want}, got {_described(slopes)} and {_described(bubbles)}"
         )
+    _checked_real(slopes, "slopes")
+    _checked_real(bubbles, "bubbles")
     return k
 
 
@@ -245,14 +247,13 @@ def _each_block(body, blocks: list) -> None:
 def _problem_values(problem: Problem1D, name: str, x: np.ndarray) -> np.ndarray:
     """The values of `problem`'s callable `name` at the points `x`, as float64.
 
-    Complex or text values are a `ParameterError` naming the problem and the
-    callable, where numpy would drop an imaginary part with only a warning,
-    parse numeric text, or fail on other text with an error of its own.
+    Values that are not real numbers by `errors._checked_real` (bools,
+    complex numbers, text, objects) are a `ParameterError` naming the problem
+    and the callable, where numpy would drop an imaginary part with only a
+    warning, parse numeric text, or fail with an error of its own.
     """
-    values = np.asarray(getattr(problem, name)(x))
-    if values.dtype.kind in "cSU":
-        raise ParameterError(f"problem {problem.name!r}: {name} values must be real numbers,"
-                             f" got dtype {values.dtype}")
+    values = _checked_real(np.asarray(getattr(problem, name)(x)),
+                           f"problem {problem.name!r}: {name} values")
     return values.astype(np.float64, copy=False)
 
 

@@ -13,7 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import (ParameterError, _checked_count, _checked_floats, _checked_integer,
-                     _checked_number, _described)
+                     _checked_number, _checked_real, _described)
 from .rng import _key_part, derive_key, uniforms
 
 __all__ = ["Mesh1D", "build_mesh", "jittered_nodes"]
@@ -25,8 +25,8 @@ class Mesh1D:
 
     ``gaps`` holds the element diameters (read-only), ``n_elements`` their
     number and ``h_max`` the largest of them, the mesh size every error
-    bound in this package is phrased in.  The nodes must convert to a 1-D
-    float64 array (`errors._checked_floats`); they are checked, and these
+    bound in this package is phrased in.  The nodes must be a 1-D array of
+    real numbers (`errors._checked_floats`); they are checked, and these
     fields computed, by the rule of `_checked_gaps`, which `_of_rows`
     applies once to the node rows of many meshes.  Either way `_store` sets
     the five fields, once they are checked.
@@ -68,13 +68,14 @@ class Mesh1D:
 def _checked_gaps(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The read-only (T, n) gaps of a (T, n+1) float64 node array, and each row's largest.
 
-    The node rule of every mesh: `nodes` must be a 2-D numpy array, and
-    every row a mesh of at least two nodes, from exactly 0 to exactly 1,
-    strictly increasing (so no node is NaN); anything else is a
-    `ParameterError`.
+    The node rule of every mesh: `nodes` must be a 2-D numpy array of real
+    numbers (`errors._checked_real`), and every row a mesh of at least two
+    nodes, from exactly 0 to exactly 1, strictly increasing (so no node is
+    NaN); anything else is a `ParameterError`.
     """
     if not isinstance(nodes, np.ndarray) or nodes.ndim != 2:
         raise ParameterError(f"nodes must be a 2-D array of mesh rows, got {_described(nodes)}")
+    _checked_real(nodes, "nodes")
     if nodes.shape[1] < 2:
         raise ParameterError("a mesh needs at least two nodes")
     if not ((nodes[:, 0] == 0.0) & (nodes[:, -1] == 1.0)).all():

@@ -15,6 +15,8 @@ key-path element or the argument of `mix64` enters through `_key_part`: an
 integer of either sign, or an array of an integer dtype, taken modulo 2**64
 as a uint64 array (0-d for an integer); a float, a bool or a string is a
 `ParameterError` naming the argument, as a negative count or offset is.
+A count, an offset or an index may exceed `errors.MAX_COUNT`: the counters
+stay integers, and wrap modulo 2**64 as the keys do.
 Every step after that is uint64 array arithmetic, which wraps modulo 2**64
 without overflow warnings, and a call with integer arguments converts its
 result to an int only at its return.  So `derive_key` takes an integer
@@ -49,7 +51,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ParameterError, _checked_count, _checked_integer
+from .errors import ParameterError, _checked_count, _checked_integer, _checked_real
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -115,13 +117,12 @@ def _finalize(z: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
 def _key_part(value: int | np.ndarray, name: str) -> np.ndarray:
     """A seed, key or path element modulo 2**64 as a new uint64 array, 0-d for an integer.
 
-    An integer is checked by the rule of `errors._checked_integer`; an array
-    must have an integer dtype.  Either is a `ParameterError` naming `name`.
+    An integer is checked by the rule of `errors._checked_integer`, an array
+    by that of `errors._checked_real` for integers.  Either is a
+    `ParameterError` naming `name`.
     """
     if isinstance(value, np.ndarray):
-        if value.dtype.kind not in "iu":
-            raise ParameterError(f"{name} must be an integer array, got dtype {value.dtype}")
-        return value.astype(np.uint64)
+        return _checked_real(value, name, integer=True).astype(np.uint64)
     return np.array(_checked_integer(value, name) & _MASK64, dtype=np.uint64)
 
 
@@ -182,8 +183,8 @@ def uniforms(
     counters are drawn in the blocks of `_blocks`, so the work arrays hold
     at most `_BLOCK` values however many keys and draws there are.
     """
-    count = _checked_count(count, "count", minimum=0)
-    offset = _checked_count(offset, "offset", minimum=0)
+    count = _checked_count(count, "count", minimum=0, maximum=float("inf"))
+    offset = _checked_count(offset, "offset", minimum=0, maximum=float("inf"))
     key = _key_part(key, "key")
     if key.ndim > 1:
         raise ParameterError(f"key must be an integer or a 1-D array, got shape {key.shape}")
@@ -211,6 +212,6 @@ def uniforms(
 
 def uniform_at(key: int, index: int) -> float:
     """Single variate `index` of stream `key`; agrees with `uniforms`."""
-    index = _checked_count(index, "index", minimum=0)
+    index = _checked_count(index, "index", minimum=0, maximum=float("inf"))
     z = mix64((_checked_integer(key, "key") + (index + 1) * _GOLDEN) & _MASK64)
     return (z >> 11) * _INV_2_53

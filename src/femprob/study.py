@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (InsufficientDataError, ParameterError, _checked_count, _checked_floats,
-                     _checked_increasing)
+                     _checked_increasing, _checked_real)
 from .fem import _trials_per_block, assemble_solve, h1_errors
 from .mesh import Mesh1D, build_mesh, jittered_nodes
 from .oracle import McEstimate
@@ -159,15 +159,17 @@ def fit_constant(
     the constant is estimated.  Records at or below the rounding floor carry
     no rate information and are dropped first; refuses to fit when fewer
     than three distinct mesh sizes remain.  Every record of the order must
-    have a positive, finite `h_max` and a finite `error_h1`; any other is a
-    `ParameterError` naming the field.  (`ConvergenceRecord` does not check
+    have a positive, finite `h_max` and a finite `error_h1`, both real
+    numbers (`errors._checked_real`); any other is a `ParameterError`
+    naming the field.  (`ConvergenceRecord` does not check
     them itself: a study builds thousands of records, and only a fit needs
     these.)
     """
     order = _checked_count(order, "order")
     subset = [r for r in records if r.order == order]
-    h = np.array([r.h_max for r in subset])
-    err = np.array([r.error_h1 for r in subset])
+    h = _checked_real(np.array([r.h_max for r in subset]), f"h_max of every order-{order} record")
+    err = _checked_real(np.array([r.error_h1 for r in subset]),
+                        f"error_h1 of every order-{order} record")
     if not ((h > 0.0) & (h < math.inf)).all():
         raise ParameterError(f"h_max of every order-{order} record must be positive and finite")
     if not np.isfinite(err).all():

@@ -401,6 +401,10 @@ class TestUsageErrors:
         (FEM_SMALL, "--jitter", 0.5),
         (COMPARE_SMALL, "--jitter", "nan"),
         (COMPARE_SMALL, "--jitter", -0.1),
+        # above 2**53: no trial ran (exit 0), a traceback (exit 1) or no end
+        (FEM_SMALL, "--trials", 2**63),
+        (COMPARE_SMALL, "--trials", 2**64),
+        (MC_ONE_POINT, "--trials", 2**63),
     ])
     @pytest.mark.parametrize("via", ["flag", "config"])
     def test_bad_trials_or_jitter_names_the_flag(self, tmp_path, args, flag, value, via):
@@ -462,6 +466,7 @@ class TestUsageErrors:
         ([*FEM_SMALL, "--n-list", "8,,16"], "--n-list"),
         ([*FEM_SMALL, "--orders", "1,,2"], "--orders"),
         ([*COMPARE_SMALL, "--n-list", "2,4,"], "--n-list"),
+        ([*FEM_SMALL, "--n-list", f"2,3,{2**63}"], "--n-list"),  # an IndexError traceback
     ])
     def test_bad_value_names_its_flag(self, args, flag):
         assert f"'{flag}'" in error_line(run_cli(*args, expect=2))
@@ -730,6 +735,24 @@ class TestPointRunner:
             assert result.exit_code == 2
             lines[workers] = result.stderr
         assert lines[2] == lines[1] == f"error: order {first} fails\n"
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 29.8 GiB"), "Unable to allocate 29.8 GiB"),
+        (MemoryError(), "MemoryError"),
+    ])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_out_of_memory_is_one_error_line(self, monkeypatch, workers, error, line):
+        # raised, never allocated: an overcommitting host may kill a real allocation
+        def study(problem, order, *args):
+            if order == 2:  # the worker's point at two CPUs
+                raise error
+            return convergence_study(problem, order, *args)
+
+        monkeypatch.setattr(cli, "convergence_study", study)
+        monkeypatch.setattr(fem, "_WORKERS", workers)
+        result = CliRunner().invoke(cli.main, ["fem", "--orders", "1,2", "--n-list", "4,8,16"])
+        assert (result.exit_code, result.stderr) == (2, f"error: {line}\n")
         assert _no_child_left()
 
     def test_points_come_back_in_order_and_the_worker_is_reaped(self, monkeypatch, forks):

@@ -1,7 +1,8 @@
 """The failure contract of the library: every count argument is an integer
-of at least its minimum, every seed or stream key is an integer, every size
-is a finite float > 0, every sweep or array argument is a sequence of such
-numbers, and anything else is a ParameterError that names the argument."""
+of at least its minimum and at most 2**53, every seed or stream key is an
+integer, every size is a finite float > 0, every sweep or array argument is
+a sequence of such numbers, every numpy input has a real dtype, and anything
+else is a ParameterError that names the argument."""
 
 import math
 import re
@@ -20,6 +21,7 @@ from femprob import (
     prob_sigmoid,
     trapezium_ratio,
 )
+from femprob.fem import FemSolution, h1_errors
 from femprob.laws import (
     ElementPair,
     ErrorLaw,
@@ -127,9 +129,10 @@ SIZES = {
     "conditional_identity_check": (
         "mesh size h", lambda v: conditional_identity_check(PAIR, v, 10, 0)
     ),
-    # a jitter may be 0; these four values are refused as a size is
+    # a jitter or a p_hat may be 0; these values are refused as a size is
     "jittered_nodes": ("jitter", lambda v: jittered_nodes(4, v, SEEDS)),
     "build_mesh": ("jitter", lambda v: build_mesh(4, v, 3)),
+    "McEstimate": ("p_hat", lambda v: McEstimate(v, 10, 0)),
 }
 
 # a sweep (a list of element counts or mesh sizes) or an array of numbers
@@ -143,9 +146,11 @@ SEQUENCES = {
 }
 
 
-@pytest.mark.parametrize("value", [0, 2.5, True, "3"])
+@pytest.mark.parametrize("value", [0, 2.5, True, "3", 2**53 + 1])
 @pytest.mark.parametrize("name, call", COUNTS.values(), ids=COUNTS)
 def test_count_must_be_an_integer_of_at_least_one(name, call, value):
+    # above 2**53, wins / trials and 1 / n_elements round: superiority_sweep
+    # at trials=2**63 drew no trial and returned p_hat 0.0
     with pytest.raises(ParameterError, match=re.escape(name)):
         call(value)
 
@@ -182,10 +187,12 @@ def test_jittered_nodes_seeds_must_be_a_1d_integer_array(n, jitter, seeds):
         jittered_nodes(n, jitter, seeds)
 
 
-@pytest.mark.parametrize("value", [None, "x", math.nan, -1.0, True, "0.25"])
+@pytest.mark.parametrize("value", [None, "x", math.nan, -1.0, True, "0.25",
+                                   np.complex128(0.25 + 1j), np.array("0.25")])
 @pytest.mark.parametrize("name, call", SIZES.values(), ids=SIZES)
 def test_size_must_be_positive_and_finite(name, call, value):
-    # a bool or a numeric string was taken by float(): True as h = 1.0
+    # a bool or a numeric string was taken by float(): True as h = 1.0, and
+    # numpy's complex and text as 0.25
     with pytest.raises(ParameterError, match=re.escape(name)):
         call(value)
 
@@ -223,14 +230,44 @@ def test_p_hat_is_not_a_bool():
 
 
 @pytest.mark.parametrize(
-    "value", [5, ["0", "x", "1"], [[0.0], [0.5, 1.0]]], ids=["scalar", "string", "ragged"]
+    "value",
+    [5, ["0", "x", "1"], [[0.0], [0.5, 1.0]], np.array([0.0, 0.5 + 1j, 1.0]),
+     np.array(["0", "0.5", "1"]), np.array([False, True]),
+     np.array([0.0, 0.5, 1.0], dtype=object)],
+    ids=["scalar", "string", "ragged", "complex", "numeric_text", "bool", "object"],
 )
 @pytest.mark.parametrize("name, call", SEQUENCES.values(), ids=SEQUENCES)
 def test_sequence_must_hold_numbers(name, call, value):
     # unchecked, a scalar n_list or h_grid and a Mesh1D of strings or of
-    # ragged rows raised a bare TypeError or ValueError
+    # ragged rows raised a bare TypeError or ValueError; a Mesh1D of numeric
+    # text, complex numbers, bools or objects was built from their floats
     with pytest.raises(ParameterError, match=re.escape(name)):
         call(value)
+
+
+# the solve arrays of `fem`, one 4-element mesh of order 2: (the argument
+# named in the error, a call passing the array, of its own shape, there)
+ROWS = np.linspace(0.0, 1.0, 5)[None]
+SOLVE_ARRAYS = {
+    "h1_errors_nodes": ("nodes", lambda dtype: h1_errors(
+        2, ROWS.astype(dtype), np.zeros((1, 4)), np.zeros((1, 4, 1)), SINE)),
+    "h1_errors_slopes": ("slopes", lambda dtype: h1_errors(
+        2, ROWS, np.zeros((1, 4)).astype(dtype), np.zeros((1, 4, 1)), SINE)),
+    "h1_errors_bubbles": ("bubbles", lambda dtype: h1_errors(
+        2, ROWS, np.zeros((1, 4)), np.zeros((1, 4, 1)).astype(dtype), SINE)),
+    "FemSolution": ("slopes", lambda dtype: FemSolution(
+        1, MESH, np.zeros(4).astype(dtype), np.zeros((4, 0)))),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.str_, np.bool_, object])
+@pytest.mark.parametrize("name, call", SOLVE_ARRAYS.values(), ids=SOLVE_ARRAYS)
+def test_solve_arrays_must_hold_real_numbers(name, call, dtype):
+    # unchecked, complex slopes or bubbles were integrated with a warning
+    # only, object arrays computed, and text, complex or bool nodes raised a
+    # bare TypeError
+    with pytest.raises(ParameterError, match=f"^{re.escape(name)} must be real numbers, got"):
+        call(dtype)
 
 
 def test_numpy_integers_are_counts():

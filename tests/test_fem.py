@@ -227,7 +227,9 @@ class TestAssembleSolve:
         (lambda x, real: real(x) + 1j, "complex128"),  # numpy would keep the real part
         (lambda x, real: real(x).astype(str), "<U"),  # numpy would parse the text
         (lambda x, real: np.full(x.shape, "x"), "<U1"),  # numpy's own ValueError
-    ], ids=["complex", "numeric_text", "text"])
+        # numpy's own TypeError for the complex values the objects hold
+        (lambda x, real: (real(x) + 1j).astype(object), "object"),
+    ], ids=["complex", "numeric_text", "text", "object"])
     def test_problem_values_must_be_real_numbers(self, field, make_values, dtype):
         def values(x):
             # real at both ends, so the problem passes its boundary check

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -142,6 +143,9 @@ class TestFitConstant:
             (math.nan, 1e-3, "h_max"),
             (math.inf, 1e-3, "h_max"),
             (0.01, math.inf, "error_h1"),  # unchecked: constant=nan
+            # unchecked: fitted from the complex numbers, with a warning only
+            (0.01, np.complex128(1e-3 + 1j), "error_h1"),
+            (np.complex128(0.01 + 1j), 1e-3, "h_max"),
         ],
     )
     @pytest.mark.parametrize("fix_rate", [True, False])
@@ -466,18 +470,19 @@ class TestHalfCrossing:
             estimate_half_crossing(h_values, p_values)
 
     @pytest.mark.parametrize(
-        "h_values, p_values, name",
+        "h_values, p_values, message",
         [
-            ([0.1, 0.2], ["x", 0.5], "p_values"),  # unchecked: numpy's ValueError
-            (["0.1", "h"], [0.9, 0.1], "h_values"),
-            ([[0.1], [0.2, 0.3]], [0.9, 0.1], "h_values"),  # ragged
-            ([0.1, 0.2], [0.9, 1j], "p_values"),  # unchecked: TypeError
+            # unchecked: numpy's ValueError
+            ([0.1, 0.2], ["x", 0.5], "p_values must be real numbers, got dtype <U32"),
+            (["0.1", "h"], [0.9, 0.1], "h_values must be real numbers, got dtype <U3"),
+            ([[0.1], [0.2, 0.3]], [0.9, 0.1], "h_values must be a 1-D array of numbers, got list"),
+            # unchecked: TypeError
+            ([0.1, 0.2], [0.9, 1j], "p_values must be real numbers, got dtype complex128"),
         ],
         ids=["string", "string_h", "ragged", "complex"],
     )
-    def test_input_must_be_numbers(self, h_values, p_values, name):
-        message = f"^{name} must be a 1-D array of numbers, got list$"
-        with pytest.raises(ParameterError, match=message):
+    def test_input_must_be_numbers(self, h_values, p_values, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             estimate_half_crossing(h_values, p_values)
 
     @pytest.mark.parametrize("bad", [0.0, -0.2, math.inf, math.nan])
