@@ -14,7 +14,8 @@ files.
 `mc`, `fem` and `compare` compute their independent points (grid sizes,
 orders, element counts) through `_each_point`: on Linux, when the process
 may use two CPUs, one forked worker runs every second point, by the split
-rule of `fem._half` that `fem`'s helper thread shares.  It lives here and
+rule of `fem._half` that `fem`'s helper thread shares; while the points
+are split, neither process starts that helper.  It lives here and
 not in the library, because a library call that forked would fork whatever
 program imported it, while this process is the CLI's own.  The files,
 stderr lines and exit codes are byte-identical with or without the worker.
@@ -182,7 +183,10 @@ def _each_point(run, items: list) -> list:
     this process the even ones, each half by `fem._half`, the package's one
     split rule; the worker pickles its results and its failure back through
     a pipe.  The items are independent and each is computed as a serial loop
-    would, so the results are the same bits either way.  The exception
+    would, so the results are the same bits either way.  While the halves
+    run, `fem._WORKERS` is 1 in both processes, so each runs its quadrature
+    blocks inline, with no helper thread (two processes already use the two
+    CPUs); it is restored afterwards, also on failure.  The exception
     raised is that of the first failing item in item order, as a serial loop
     raises it; a worker that ends without sending its half (killed, say)
     counts as failing at its first item, with a `ChildProcessError`.
@@ -194,33 +198,39 @@ def _each_point(run, items: list) -> list:
         return [run(item) for item in items]
     results, failures = {}, {}  # item index -> its result, or its exception
     parent = os.getpid()
-    reader, writer = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the worker: it never returns, and leaves by os._exit only
-        status = 1
-        try:
-            os.close(reader)
-            libc = ctypes.CDLL(None, use_errno=True)
-            libc.prctl.argtypes, libc.prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
-            if libc.prctl(1, signal.SIGKILL) != 0:  # PR_SET_PDEATHSIG
-                raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
-            if os.getppid() == parent:  # else the parent died before prctl
-                with open(writer, "wb") as half:
-                    _fem._half(run, items, 1, results, failures)
-                    pickle.dump((results, failures), half)
-                status = 0
-        finally:
-            os._exit(status)
-    os.close(writer)
-    with open(reader, "rb") as half:
-        try:
-            _fem._half(run, items, 0, results, failures)
-            sent = half.read()
-        except BaseException:  # an interrupt or exit: stop the worker, then leave
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    # one level of parallelism: each process runs its quadrature blocks inline
+    workers, _fem._WORKERS = _fem._WORKERS, 1
+    try:
+        reader, writer = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the worker: it never returns, and leaves by os._exit only
+            status = 1
+            try:
+                os.close(reader)
+                libc = ctypes.CDLL(None, use_errno=True)
+                libc.prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+                libc.prctl.restype = ctypes.c_int
+                if libc.prctl(1, signal.SIGKILL) != 0:  # PR_SET_PDEATHSIG
+                    raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+                if os.getppid() == parent:  # else the parent died before prctl
+                    with open(writer, "wb") as half:
+                        _fem._half(run, items, 1, results, failures)
+                        pickle.dump((results, failures), half)
+                    status = 0
+            finally:
+                os._exit(status)
+        os.close(writer)
+        with open(reader, "rb") as half:
+            try:
+                _fem._half(run, items, 0, results, failures)
+                sent = half.read()
+            except BaseException:  # an interrupt or exit: stop the worker, then leave
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    finally:
+        _fem._WORKERS = workers
     odd_results, odd_failures = pickle.loads(sent) if status == 0 else ({}, {1: ChildProcessError(
         f"the worker process of {len(items) // 2} points ended with status {status}"
         " before it sent their results")})

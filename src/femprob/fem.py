@@ -14,7 +14,10 @@ loads; k+5 points for error norms).
 package's one tiling rule, `rng._blocks`, at this module's `_BLOCK`: a
 block holds about `_BLOCK` quadrature points, so every per-point array
 stays in L2 cache, and is as many whole meshes as fit or else whole
-elements of one mesh.  `assemble_solve` walks one mesh; `h1_errors`
+elements of one mesh.  `assemble_solve` walks one mesh, its loads block
+by block through one body, `_block_loads`; a mesh whose load points fit
+in one block (every mesh of n <= 96 elements) is solved in one pass, that
+body called once on the whole mesh, with no walker.  `h1_errors`
 integrates the errors of many solves of one order, given as arrays with
 one row per mesh, and `h1_error` is its one-mesh call.  A block yields
 per-element results only (loads, weighted squared errors); the global
@@ -69,7 +72,8 @@ _BLOCK = 1 << 15
 # ufuncs and BLAS calls release the GIL, and np.sin over a block ran 1.95x
 # faster on two threads of a 2-vCPU host; no other count was measured, so
 # `_each_block` runs at most one helper, and more would need a measurement
-# on a machine with more CPUs.
+# on a machine with more CPUs.  `cli._each_point` sets it to 1 while its
+# two processes already use the two CPUs.
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
@@ -83,7 +87,10 @@ class FemSolution:
     bubble j.  Vertex values follow from u(0) = 0 as a running sum of
     slope times element length.  The order and the two arrays are checked
     by the rule of `_checked_solves`, which `h1_errors` applies to the
-    arrays of many solves at once.
+    arrays of many solves at once.  `assemble_solve` makes its solves by
+    `_store`, without that check of the order and arrays it has just made;
+    a mesh whose load points fit in one `_BLOCK` it solves in one pass,
+    with no block walker.
     """
 
     order: int
@@ -93,6 +100,12 @@ class FemSolution:
 
     def __post_init__(self):
         _checked_solves(self.order, self.slopes, self.bubbles, self.mesh.gaps.shape)
+
+    def _store(self, order: int, mesh: Mesh1D, slopes: np.ndarray,
+               bubbles: np.ndarray) -> FemSolution:
+        """Set the four fields of this solve from values already checked; return it."""
+        self.__dict__.update(order=order, mesh=mesh, slopes=slopes, bubbles=bubbles)
+        return self
 
     def element_values(self) -> np.ndarray:
         """Per element, the Lobatto coefficients of u_h: both vertex values, then bubbles."""
@@ -248,31 +261,46 @@ def _problem_values(problem: Problem1D, name: str, x: np.ndarray) -> np.ndarray:
     """The values of `problem`'s callable `name` at the points `x`, as float64.
 
     Values that are not real numbers by `errors._checked_real` (bools,
-    complex numbers, text, objects) are a `ParameterError` naming the problem
-    and the callable, where numpy would drop an imaginary part with only a
-    warning, parse numeric text, or fail with an error of its own.
+    complex numbers, text, objects), or neither one value (0-d) nor one per
+    point (the shape of `x`), are a `ParameterError` naming the problem and
+    the callable, where numpy would drop an imaginary part with only a
+    warning, parse numeric text, broadcast values of another shape over the
+    points, or fail with an error of its own.
     """
-    values = _checked_real(np.asarray(getattr(problem, name)(x)),
-                           f"problem {problem.name!r}: {name} values")
+    what = f"problem {problem.name!r}: {name} values"
+    values = _checked_real(np.asarray(getattr(problem, name)(x)), what)
+    if values.ndim and values.shape != x.shape:
+        raise ParameterError(f"{what} must be one value or one per point, of shape {x.shape},"
+                             f" got shape {values.shape}")
     return values.astype(np.float64, copy=False)
 
 
-def _element_loads(mesh: Mesh1D, k: int, problem: Problem1D) -> np.ndarray:
-    """Per element, the loads l(phi) of its k + 1 Lobatto basis functions."""
+def _block_loads(lengths: np.ndarray, lefts: np.ndarray, k: int,
+                 problem: Problem1D) -> np.ndarray:
+    """Per element of these lengths and left ends, the loads l(phi) of its
+    k + 1 Lobatto basis functions: one row each."""
     point_map, weights, values, _ = _reference_element(k, _ASSEMBLY_EXTRA_POINTS)
+    f_quad = _problem_values(problem, "source", _points(lengths, lefts, point_map))
+    if not np.isfinite(f_quad).all():
+        raise ParameterError(
+            f"problem {problem.name!r}: source values must not contain infs or NaNs"
+        )
+    return lengths[:, None] * ((f_quad * weights) @ values)
+
+
+def _element_loads(mesh: Mesh1D, k: int, problem: Problem1D) -> np.ndarray:
+    """Per element of `mesh`, the loads of `_block_loads`: in one pass when the
+    mesh's quadrature points fit in one `_BLOCK`, else block by block."""
     lengths, lefts = mesh.gaps, mesh.nodes[:-1]
+    points = k + _ASSEMBLY_EXTRA_POINTS
+    if mesh.n_elements * points <= _BLOCK:
+        return _block_loads(lengths, lefts, k, problem)
     loads = np.empty((mesh.n_elements, k + 1))
 
     def load(_, elements: slice) -> None:
-        x_quad = _points(lengths[elements], lefts[elements], point_map)
-        f_quad = _problem_values(problem, "source", x_quad)
-        if not np.isfinite(f_quad).all():
-            raise ParameterError(
-                f"problem {problem.name!r}: source values must not contain infs or NaNs"
-            )
-        loads[elements] = lengths[elements, None] * ((f_quad * weights) @ values)
+        loads[elements] = _block_loads(lengths[elements], lefts[elements], k, problem)
 
-    _each_block(load, list(_blocks(1, mesh.n_elements, point_map.shape[1], _BLOCK)))
+    _each_block(load, list(_blocks(1, mesh.n_elements, points, _BLOCK)))
     return loads
 
 
@@ -297,7 +325,7 @@ def assemble_solve(mesh: Mesh1D, order: int, problem: Problem1D) -> FemSolution:
     # scaled in place, so the solve holds no second (n, k - 1) array
     bubbles = loads[:, 2:]
     bubbles *= lengths[:, None]
-    return FemSolution(order=k, mesh=mesh, slopes=slopes, bubbles=bubbles)
+    return object.__new__(FemSolution)._store(k, mesh, slopes, bubbles)
 
 
 def h1_error(solution: FemSolution, problem: Problem1D) -> tuple[float, float]:

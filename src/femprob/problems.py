@@ -35,12 +35,13 @@ class Problem1D:
     H^s seminorm of u (the L2 norm of the s-th derivative).  Problems
     without it are still solvable; they just cannot document constants.
 
-    The three functions must be pointwise: `assemble_solve` and
-    `h1_errors` call them once per block of `fem`'s one block walker
-    (about 2**15 quadrature points), not once per mesh, and a block may
-    hold part of one mesh or the points of several meshes.  A result that
-    depends on the other points of its array (a normalisation, a running
-    sum) changes with the blocking.  A call of several blocks may call a
+    The three functions must be pointwise, each returning one value per
+    point (an array of the points' shape) or one value for all:
+    `assemble_solve` and `h1_errors` call them once per block of `fem`'s
+    one block walker (about 2**15 quadrature points), not once per mesh,
+    and a block may hold part of one mesh or the points of several meshes.
+    A result that depends on the other points of its array (a
+    normalisation, a running sum) changes with the blocking.  A call of several blocks may call a
     function from two threads at once, on disjoint blocks, so it must not
     change state that another call reads.
     """

@@ -761,6 +761,26 @@ class TestPointRunner:
         assert cli._each_point(str, [7]) == ["7"]  # one point runs here, unforked
         assert len(forks) == (sys.platform == "linux") and _no_child_left()
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="the worker forks on Linux only")
+    @pytest.mark.parametrize("failing", [None, 2, 3])  # the caller's item 2, the worker's 3
+    def test_both_halves_run_their_blocks_inline(self, monkeypatch, forks, failing):
+        # one level of parallelism: while the points are split, neither
+        # process starts a helper thread, and the setting is restored after
+        monkeypatch.setattr(fem, "_WORKERS", 2)
+
+        def run(item):
+            if item == failing:
+                raise ParameterError(f"item {item} fails")
+            return item, fem._WORKERS
+
+        if failing is None:
+            assert cli._each_point(run, [0, 1, 2, 3]) == [(0, 1), (1, 1), (2, 1), (3, 1)]
+        else:
+            with pytest.raises(ParameterError, match=f"^item {failing} fails$"):
+                cli._each_point(run, [0, 1, 2, 3])
+        assert fem._WORKERS == 2
+        assert len(forks) == 1 and _no_child_left()
+
     def test_failure_in_the_workers_share_is_raised_and_reaped(self, monkeypatch):
         monkeypatch.setattr(fem, "_WORKERS", 2)
 

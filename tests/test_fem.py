@@ -242,6 +242,39 @@ class TestAssembleSolve:
         with pytest.raises(ParameterError, match=message):
             h1_error(assemble_solve(mesh, 2, bad), bad)
 
+    @pytest.mark.parametrize("field", ["source", "exact_solution", "exact_derivative"])
+    @pytest.mark.parametrize("make_values, shape", [
+        (lambda x, real: np.ones(3), r"\(3,\)"),  # numpy's own broadcast ValueError
+        # one value per Gauss point, which numpy would broadcast over the elements
+        (lambda x, real: real(x).reshape(-1, x.shape[-1])[0], r"\(\d+,\)"),
+        (lambda x, real: real(x)[..., None], r"\(.*, 1\)"),
+    ], ids=["three", "per_gauss_point", "extra_axis"])
+    def test_problem_values_must_be_one_or_one_per_point(self, field, make_values, shape):
+        def values(x):
+            # right at both ends, so the problem passes its boundary check
+            return make_values(x, getattr(SINE, field)) if x.ndim else getattr(SINE, field)(x)
+
+        bad = dataclasses.replace(SINE, name="bad-shape", **{field: values})
+        mesh = build_mesh(6, 0.2, seed=3)
+        message = (f"^problem 'bad-shape': {field} values must be one value or one per point,"
+                   f" of shape \\(.*\\), got shape {shape}$")
+        with pytest.raises(ParameterError, match=message):
+            h1_error(assemble_solve(mesh, 2, bad), bad)
+
+    @pytest.mark.parametrize("order", [1, 2, 5])
+    def test_problems_of_one_value_still_solve(self, order):
+        # one value for all points is broadcast: u = 0, and -u'' = 2 for u = x - x^2
+        zero = Problem1D(name="zero", exact_solution=lambda x: 0.0,
+                         exact_derivative=lambda x: 0.0, source=lambda x: 0.0)
+        solution = assemble_solve(build_mesh(6, 0.2, seed=3), order, zero)
+        assert not solution.slopes.any() and not solution.bubbles.any()
+        assert h1_error(solution, zero) == (0.0, 0.0)
+        parabola = Problem1D(name="parabola", exact_solution=lambda x: x - x * x,
+                             exact_derivative=lambda x: 1.0 - 2.0 * x, source=lambda x: 2)
+        full, semi = h1_error(assemble_solve(build_mesh(6, 0.2, seed=3), order, parabola),
+                              parabola)
+        assert (full <= 1e-13) == (order >= 2) and semi <= full
+
     @pytest.mark.parametrize("order", [1, 2, 4, 7, 10])
     def test_galerkin_residual_small(self, order):
         mesh = build_mesh(12, 0.25, seed=order)
@@ -456,7 +489,7 @@ def counting(problem):
 
 
 class TestElementBlocks:
-    @pytest.mark.parametrize("order", [1, 4, 10])
+    @pytest.mark.parametrize("order", range(1, 11))
     def test_blocked_equals_one_block(self, order, monkeypatch):
         # what `fem` guarantees: a rerun at one block size is byte-identical,
         # while one whole-mesh block agrees to rounding only.  Three full
@@ -488,6 +521,53 @@ class TestElementBlocks:
                 scale = np.abs(want).max(initial=0.0)
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * scale)
             np.testing.assert_allclose(whole_errors, blocked_errors, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("order", range(1, 11))
+    def test_one_pass_up_to_one_block(self, order, monkeypatch):
+        # a mesh whose n (k + 3) load points fit in `_BLOCK` is solved in one
+        # pass, one source call; one element more takes the walker, here a
+        # block of 5 elements and a ragged block of 1, whose rows are those
+        # `_block_loads` gives each block alone.  That one-element block takes
+        # numpy's one-row product path, and the loads of these coarse sine24
+        # meshes cancel, so its solve moves by up to about 1e-13 of the
+        # largest slope or bubble (k = 1..10, 20 seeds)
+        problem, calls = counting(get_problem("sine24"))
+        meshes = {n: build_mesh(n, 0.3, seed=n + order) for n in (5, 6)}
+        unpatched = {n: assemble_solve(mesh, order, problem) for n, mesh in meshes.items()}
+        points = order + fem._ASSEMBLY_EXTRA_POINTS
+        monkeypatch.setattr(fem, "_BLOCK", 5 * points)
+        for n, source_calls in [(5, 1), (6, 2)]:
+            want = unpatched[n]
+            calls["source"] = 0
+            got = assemble_solve(meshes[n], order, problem)
+            assert calls["source"] == source_calls
+            got_errors, want_errors = h1_error(got, problem), h1_error(want, problem)
+            if n == 5:
+                assert got.slopes.tobytes() == want.slopes.tobytes()
+                assert got.bubbles.tobytes() == want.bubbles.tobytes()
+                assert got_errors == want_errors
+            for got_array, want_array in [(got.slopes, want.slopes),
+                                          (got.bubbles, want.bubbles)]:
+                scale = np.abs(want_array).max(initial=0.0)
+                np.testing.assert_allclose(got_array, want_array, rtol=0.0, atol=1e-12 * scale)
+            np.testing.assert_allclose(got_errors, want_errors, rtol=1e-13, atol=0.0)
+        gaps, lefts = meshes[6].gaps, meshes[6].nodes[:-1]
+        rows = [fem._block_loads(gaps[block], lefts[block], order, problem)
+                for _, block in rng._blocks(1, 6, points, fem._BLOCK)]
+        assert len(rows) == 2
+        loads = fem._element_loads(meshes[6], order, problem)
+        assert loads.tobytes() == np.concatenate(rows).tobytes()
+
+    @pytest.mark.parametrize("order", [1, 2, 10])
+    def test_solve_equals_its_public_construction(self, order):
+        # `assemble_solve` stores its fields unchecked; they are those the
+        # public constructor takes and checks
+        solution = assemble_solve(build_mesh(12, 0.3, seed=order), order, SINE)
+        public = FemSolution(solution.order, solution.mesh, solution.slopes, solution.bubbles)
+        assert vars(solution).keys() == vars(public).keys()
+        assert all(getattr(solution, name) is getattr(public, name) for name in vars(public))
+        assert type(solution.order) is int and solution.order == order
+        assert solution.slopes.dtype == solution.bubbles.dtype == np.float64
 
     @pytest.mark.parametrize("extra", [fem._ASSEMBLY_EXTRA_POINTS, fem._ERROR_EXTRA_POINTS])
     @pytest.mark.parametrize("order", range(1, 11))
