@@ -11,6 +11,10 @@ stderr.  `_cell` is the one rule that formats a value of those files,
 `_row` builds every data row from it and `_params` every `# key=value`
 header line.  Reruns with identical flags and seed produce byte-identical
 files.
+Start-up loads only the command group: `femprob`, `femprob.errors` and this
+module.  Each command imports the library modules it runs when it starts,
+before `_each_point` forks, so `law`, `--help` and a usage error never load
+the solver, and the forked worker imports nothing the CLI process has not.
 `mc`, `fem` and `compare` compute their independent points (grid sizes,
 orders, element counts) through `_each_point`: on Linux, when the process
 may use two CPUs, one forked worker runs every second point, by the split
@@ -35,27 +39,17 @@ is at most `errors.MAX_COUNT`, 2**53.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import os
-import pickle
 import re
-import signal
 import sys
 from pathlib import Path
 
 import click
 import numpy as np
 
-from . import fem as _fem
-from .errors import (MAX_COUNT, FemProbError, InsufficientDataError, ParameterError,
+from .errors import (MAX_COUNT, MAX_ORDER, FemProbError, InsufficientDataError, ParameterError,
                      _checked_count, _checked_increasing)
-from .fem import MAX_ORDER
-from .laws import ElementPair, prob_sigmoid, prob_two_step
-from .oracle import mc_estimate
-from .problems import get_problem
-from .rng import derive_key
-from .study import convergence_study, estimate_half_crossing, fit_constant, superiority_sweep
 
 
 def _cell(value) -> str:
@@ -194,8 +188,14 @@ def _each_point(run, items: list) -> list:
     an exit), it kills the worker first, and the kernel kills the worker if
     this process dies.
     """
+    from . import fem as _fem
+
     if sys.platform != "linux" or _fem._WORKERS < 2 or len(items) < 2:
         return [run(item) for item in items]
+    import ctypes
+    import pickle
+    import signal
+
     results, failures = {}, {}  # item index -> its result, or its exception
     parent = os.getpid()
     # one level of parallelism: each process runs its quadrature blocks inline
@@ -360,6 +360,8 @@ def _grid_options(points: int):
 @_config_option
 def law(ck, k, cm, m, h_min, h_max, points, spacing, out):
     """Tabulate both closed-form laws on a mesh-size grid."""
+    from .laws import ElementPair, prob_sigmoid, prob_two_step
+
     pair = ElementPair.from_constants(ck, k, cm, m)
     _emit(out, [
         "# femprob law",
@@ -387,6 +389,10 @@ def mc(ck, k, cm, m, h_min, h_max, points, spacing, trials, sigma_factor, valida
     Exits nonzero if any grid point falls outside the sigma band (unless
     --no-validate).
     """
+    from .laws import ElementPair, prob_sigmoid
+    from .oracle import mc_estimate
+    from .rng import derive_key
+
     pair = ElementPair.from_constants(ck, k, cm, m)
     grid = _h_grid(h_min, h_max, points, spacing)
     lines = [
@@ -428,6 +434,11 @@ def mc(ck, k, cm, m, h_min, h_max, points, spacing, trials, sigma_factor, valida
 def fem(problem, orders, n_list, jitter, trials, fix_rate, fit_out, validate_rates,
         rate_window, seed, out):
     """Convergence records plus power-law fits for each element order."""
+    # `study` first: imported after `problems`, it left a heap laid out so
+    # that a 655k-DOF run peaked 0.5 MB higher
+    from .study import convergence_study, fit_constant
+    from .problems import get_problem
+
     problem = get_problem(problem)
     if fit_out is None:
         stem = Path(out)
@@ -499,6 +510,11 @@ def compare(problem, order_low, order_high, n_list, jitter, trials, validate_cro
     sweep's own records, reports the fitted crossover and the empirical
     0.5-crossing, and optionally validates their agreement.
     """
+    # `study` first, as in `fem`
+    from .study import estimate_half_crossing, fit_constant, superiority_sweep
+    from .laws import ElementPair, prob_sigmoid
+    from .problems import get_problem
+
     problem = get_problem(problem)
     sweeps = _each_point(
         lambda n: superiority_sweep(problem, order_low, order_high, [n], trials, jitter, seed),

@@ -25,6 +25,9 @@ A count is at most `MAX_COUNT`, 2**53, the largest integer up to which
 float64 holds every integer exactly: trial, element and grid counts enter
 float arithmetic (``wins / trials``, ``1 / n_elements``).  Only the draw
 counts, offsets and indices of `rng`, which stay integers, go beyond it.
+An element order is at most `MAX_ORDER`, the highest degree `fem`
+supports; it lives here so that the command line can check an order flag
+without importing the solver.
 """
 
 import math
@@ -33,6 +36,7 @@ import operator
 import numpy as np
 
 MAX_COUNT = 2**53  # the largest count, see above
+MAX_ORDER = 10  # the highest element order of `fem`, see above
 
 
 class FemProbError(Exception):

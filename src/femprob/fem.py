@@ -50,14 +50,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError, _checked_count, _checked_real, _described
+from .errors import MAX_ORDER, ParameterError, _checked_count, _checked_real, _described
 from .mesh import Mesh1D, _checked_gaps
 from .problems import Problem1D
 from .rng import _blocks, _rows_per_block
 
 __all__ = ["FemSolution", "assemble_solve", "h1_error", "h1_errors", "galerkin_residual"]
-
-MAX_ORDER = 10
 
 _ASSEMBLY_EXTRA_POINTS = 3  # ceil((2k+2)/2) + 2 == k + 3 Gauss points
 _ERROR_EXTRA_POINTS = 5  # k + 5 Gauss points for the H1 error integrals

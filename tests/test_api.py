@@ -27,6 +27,8 @@ def test_every_exported_name_resolves(name):
 
 
 def test_package_exports_exactly_what_it_imports():
+    # the error classes are imported with the package, every other API name
+    # on first access through `_LAZY`
     tree = ast.parse(Path(femprob.__file__).read_text())
     imported = {
         alias.asname or alias.name
@@ -34,7 +36,21 @@ def test_package_exports_exactly_what_it_imports():
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     }
-    assert sorted(femprob.__all__) == sorted(imported | {"__version__"})
+    assert imported.isdisjoint(femprob._LAZY)
+    assert sorted(femprob.__all__) == sorted(imported | femprob._LAZY.keys() | {"__version__"})
+
+
+def test_lazy_names_are_their_modules_own():
+    for name, module in femprob._LAZY.items():
+        value = getattr(femprob, name)
+        assert value is getattr(importlib.import_module(f"femprob.{module}"), name), name
+        assert name not in vars(femprob)  # resolved on every access, never copied
+    namespace = {}
+    exec("from femprob import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(femprob.__all__)
+    assert set(femprob.__all__) <= set(dir(femprob))
+    with pytest.raises(AttributeError, match="has no attribute 'prob_two_step'"):
+        femprob.prob_two_step  # public in `femprob.laws`, not in the package
 
 
 def test_package_exports_the_readme_api():

@@ -356,7 +356,7 @@ class TestUsageErrors:
         def interrupt(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "prob_two_step", interrupt)
+        monkeypatch.setattr("femprob.laws.prob_two_step", interrupt)
         result = CliRunner().invoke(cli.main, [str(a) for a in LAW])
         assert result.exit_code == 1
         assert result.output.strip() == "Aborted!"
@@ -725,7 +725,7 @@ class TestPointRunner:
                 raise ParameterError(f"order {order} fails")
             return convergence_study(problem, order, *args)
 
-        monkeypatch.setattr(cli, "convergence_study", study)
+        monkeypatch.setattr("femprob.study.convergence_study", study)
         lines = {}
         for workers in (1, 2):
             monkeypatch.setattr(fem, "_WORKERS", workers)
@@ -749,7 +749,7 @@ class TestPointRunner:
                 raise error
             return convergence_study(problem, order, *args)
 
-        monkeypatch.setattr(cli, "convergence_study", study)
+        monkeypatch.setattr("femprob.study.convergence_study", study)
         monkeypatch.setattr(fem, "_WORKERS", workers)
         result = CliRunner().invoke(cli.main, ["fem", "--orders", "1,2", "--n-list", "4,8,16"])
         assert (result.exit_code, result.stderr) == (2, f"error: {line}\n")
@@ -933,16 +933,20 @@ def test_cli_forks_its_worker_from_one_thread(args):
     assert forks == ["threads at fork 1"]
     assert "multi-threaded" not in result.stderr  # the 3.12 warning's words
 
-def _loaded_after(code, module="scipy"):
-    code += f"; import sys; print({module!r} in sys.modules)"
+
+def _loaded_after(code, package="scipy"):
+    """The modules of `package` (and `package` itself) that a fresh
+    interpreter holds after running `code`."""
+    code += (f"\nimport sys\nprint(*sorted(m for m in sys.modules"
+             f" if m == {package!r} or m.startswith({package + '.'!r})))")
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    return result.stdout.strip()
+    return result.stdout.split()
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    assert _loaded_after("import femprob.cli") == "False"
+    assert _loaded_after("import femprob.cli") == []
 
 
 def test_solve_leaves_scipy_unloaded():
@@ -950,11 +954,64 @@ def test_solve_leaves_scipy_unloaded():
         "import femprob as fp; p = fp.get_problem('sine');"
         " fp.h1_error(fp.assemble_solve(fp.build_mesh(8, 0.3, 1), 3, p), p)"
     )
-    assert _loaded_after(code) == "False"
+    assert _loaded_after(code) == []
+
+
+def test_cli_import_loads_only_the_command_group():
+    # start-up parses argv with the group alone; each command imports the
+    # library modules it runs
+    assert _loaded_after("import femprob.cli", "femprob") == [
+        "femprob", "femprob.cli", "femprob.errors"]
+
+
+def test_cli_import_leaves_numpy_polynomial_unloaded():
+    # `problems` builds its polynomials with it; `law` and `--help` need neither
+    assert _loaded_after("import femprob.cli", "numpy.polynomial") == []
+
+
+def test_law_loads_only_the_laws():
+    code = (
+        "import os\n"
+        "from femprob import cli\n"
+        "try:\n"
+        f"    cli.main({list(map(str, LAW))!r} + ['--out', os.devnull])\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code == 0, exit.code\n"
+    )
+    assert _loaded_after(code, "femprob") == [
+        "femprob", "femprob.cli", "femprob.errors", "femprob.laws"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the worker forks on Linux only")
+@pytest.mark.parametrize("args", [
+    ["mc", *PAIR, "--h-min", 0.1, "--h-max", 1.5, "--points", 4, "--trials", 1000],
+    ["fem", "--problem", "sine24", "--orders", "1,2", "--n-list", "8,16"],
+    ["compare", "--problem", "sine24", "--n-list", "2,4,8", "--trials", 10],
+], ids=["mc", "fem", "compare"])
+def test_every_module_is_loaded_before_the_fork(args):
+    # the worker runs what the CLI process runs, so a module the CLI process
+    # imports after the fork would be imported, and compiled, twice
+    code = (
+        "import os, sys\n"
+        "from femprob import cli, fem\n"
+        "fem._WORKERS = 2\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('femprob'))\n"
+        "at_fork = []\n"
+        "os.register_at_fork(before=lambda: at_fork.append(loaded()))\n"
+        "try:\n"
+        f"    cli.main({list(map(str, args))!r} + ['--out', os.devnull])\n"
+        "except SystemExit as exit:\n"
+        "    assert exit.code == 0, exit.code\n"
+        "print(at_fork == [loaded()], at_fork, loaded())\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("True "), result.stdout
 
 
 @pytest.mark.parametrize("module", ["multiprocessing", "concurrent.futures"])
 def test_cli_import_leaves_process_pools_unloaded(module):
     # the CLI forks its one worker itself; a pool module's import, or its
     # spawn start method's fresh interpreter, would cost every CLI start
-    assert _loaded_after("import femprob.cli", module) == "False"
+    assert _loaded_after("import femprob.cli", module) == []
