@@ -13,21 +13,13 @@ header line.  Reruns with identical flags and seed produce byte-identical
 files.
 Start-up loads only the command group: `femprob`, `femprob.errors` and this
 module.  Each command imports the library modules it runs when it starts,
-before `_each_point` forks, so `law`, `--help` and a usage error never load
-the solver, and the forked worker imports nothing the CLI process has not.
-`mc`, `fem` and `compare` compute their independent points (grid sizes,
-orders, element counts) through `_each_point`: on Linux, when the process
-may use two CPUs, one forked worker runs every second point, by the split
-rule of `fem._half` that `fem`'s helper thread shares; while the points
-are split, neither process starts that helper.  It lives here and
-not in the library, because a library call that forked would fork whatever
-program imported it, while this process is the CLI's own.  The files,
-stderr lines and exit codes are byte-identical with or without the worker.
-Python 3.12 and later warn of a fork in a process that holds other OS
-threads once the before-fork hooks have run; numpy's OpenBLAS starts a
-thread pool at import, but its fork handler parks the pool, so this
-process is one thread at each fork.  A BLAS that kept its threads across
-`fork()` would draw the warning.
+before `_split._each_point` forks, so `law`, `--help` and a usage error
+never load the solver, `mc` never loads `fem`, and the forked worker
+imports nothing the CLI process has not.  `mc`, `fem` and `compare`
+compute their independent points (grid sizes, orders, element counts)
+through `_split._each_point`, which may hand every second point to one
+forked worker; the files, stderr lines and exit codes are byte-identical
+with or without it.
 Exit codes: 0 success, 1 a requested validation failed, 2 invalid usage or
 input, or out of memory.  `mc`, `fem` and `compare` return the list of their
 requested validations that failed; the group's `main` prints each as an
@@ -167,78 +159,6 @@ def _h_grid(h_min: float, h_max: float, points: int, spacing: str) -> np.ndarray
     if not (grid[1:] > grid[:-1]).all():
         raise ParameterError(f"h-min must be < h-max, by enough for {points} distinct points")
     return grid
-
-
-def _each_point(run, items: list) -> list:
-    """`[run(item) for item in items]`, the odd items run by one forked worker.
-
-    On Linux, when the process may use two CPUs (`fem._WORKERS`) and there
-    are two items or more, one `os.fork()`ed worker runs the odd items and
-    this process the even ones, each half by `fem._half`, the package's one
-    split rule; the worker pickles its results and its failure back through
-    a pipe.  The items are independent and each is computed as a serial loop
-    would, so the results are the same bits either way.  While the halves
-    run, `fem._WORKERS` is 1 in both processes, so each runs its quadrature
-    blocks inline, with no helper thread (two processes already use the two
-    CPUs); it is restored afterwards, also on failure.  The exception
-    raised is that of the first failing item in item order, as a serial loop
-    raises it; a worker that ends without sending its half (killed, say)
-    counts as failing at its first item, with a `ChildProcessError`.
-    The worker is always reaped; if this process leaves early (an interrupt,
-    an exit), it kills the worker first, and the kernel kills the worker if
-    this process dies.
-    """
-    from . import fem as _fem
-
-    if sys.platform != "linux" or _fem._WORKERS < 2 or len(items) < 2:
-        return [run(item) for item in items]
-    import ctypes
-    import pickle
-    import signal
-
-    results, failures = {}, {}  # item index -> its result, or its exception
-    parent = os.getpid()
-    # one level of parallelism: each process runs its quadrature blocks inline
-    workers, _fem._WORKERS = _fem._WORKERS, 1
-    try:
-        reader, writer = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # the worker: it never returns, and leaves by os._exit only
-            status = 1
-            try:
-                os.close(reader)
-                libc = ctypes.CDLL(None, use_errno=True)
-                libc.prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
-                libc.prctl.restype = ctypes.c_int
-                if libc.prctl(1, signal.SIGKILL) != 0:  # PR_SET_PDEATHSIG
-                    raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
-                if os.getppid() == parent:  # else the parent died before prctl
-                    with open(writer, "wb") as half:
-                        _fem._half(run, items, 1, results, failures)
-                        pickle.dump((results, failures), half)
-                    status = 0
-            finally:
-                os._exit(status)
-        os.close(writer)
-        with open(reader, "rb") as half:
-            try:
-                _fem._half(run, items, 0, results, failures)
-                sent = half.read()
-            except BaseException:  # an interrupt or exit: stop the worker, then leave
-                os.kill(pid, signal.SIGKILL)
-                raise
-            finally:
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    finally:
-        _fem._WORKERS = workers
-    odd_results, odd_failures = pickle.loads(sent) if status == 0 else ({}, {1: ChildProcessError(
-        f"the worker process of {len(items) // 2} points ended with status {status}"
-        " before it sent their results")})
-    results.update(odd_results)
-    failures.update(odd_failures)
-    if failures:
-        raise failures[min(failures)]
-    return [results[index] for index in range(len(items))]
 
 
 def _emit(out: str, lines: list[str], *more: tuple[str, list[str]]) -> None:
@@ -392,6 +312,7 @@ def mc(ck, k, cm, m, h_min, h_max, points, spacing, trials, sigma_factor, valida
     from .laws import ElementPair, prob_sigmoid
     from .oracle import mc_estimate
     from .rng import derive_key
+    from ._split import _each_point
 
     pair = ElementPair.from_constants(ck, k, cm, m)
     grid = _h_grid(h_min, h_max, points, spacing)
@@ -438,6 +359,7 @@ def fem(problem, orders, n_list, jitter, trials, fix_rate, fit_out, validate_rat
     # that a 655k-DOF run peaked 0.5 MB higher
     from .study import convergence_study, fit_constant
     from .problems import get_problem
+    from ._split import _each_point
 
     problem = get_problem(problem)
     if fit_out is None:
@@ -514,6 +436,7 @@ def compare(problem, order_low, order_high, n_list, jitter, trials, validate_cro
     from .study import estimate_half_crossing, fit_constant, superiority_sweep
     from .laws import ElementPair, prob_sigmoid
     from .problems import get_problem
+    from ._split import _each_point
 
     problem = get_problem(problem)
     sweeps = _each_point(

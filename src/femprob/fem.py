@@ -23,12 +23,9 @@ one row per mesh, and `h1_error` is its one-mesh call.  A block yields
 per-element results only (loads, weighted squared errors); the global
 reductions (the solve's running sums, the sums of the error integrals over
 elements) run once per mesh over all its elements afterwards.  A call of
-more than one block splits its blocks between the calling thread and one
-helper thread (`_each_block`), each running its half by `_half`, the
-package's one split rule, which the CLI's forked worker shares
-(`cli._each_point`).  Each block writes only its own elements' results, so
-the results do not depend on the split, nor on whether a helper runs at
-all (a process on one CPU has none).  Reruns at one block
+more than one block runs them through `_split._each_block`, which may run
+half of them on a helper thread.  Each block writes only its own elements'
+results, so the results do not depend on that split.  Reruns at one block
 size are byte-identical, and a mesh's results do not depend on
 which other meshes share its block.  Another block size may move the last
 bits: a block of one element takes numpy's one-row path through the
@@ -43,13 +40,12 @@ reads the rounding of the solve and not that of another basis.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._split import _each_block
 from .errors import MAX_ORDER, ParameterError, _checked_count, _checked_real, _described
 from .mesh import Mesh1D, _checked_gaps
 from .problems import Problem1D
@@ -65,16 +61,6 @@ _ERROR_EXTRA_POINTS = 5  # k + 5 Gauss points for the H1 error integrals
 # fastest).  Unlike the draws, the rounding of the products depends on the
 # block shape, so this size is the quadrature's own, not `rng`'s.
 _BLOCK = 1 << 15
-
-# threads that share a call's blocks: the caller and one helper.  numpy's
-# ufuncs and BLAS calls release the GIL, and np.sin over a block ran 1.95x
-# faster on two threads of a 2-vCPU host; no other count was measured, so
-# `_each_block` runs at most one helper, and more would need a measurement
-# on a machine with more CPUs.  `cli._each_point` sets it to 1 while its
-# two processes already use the two CPUs.
-_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
-
 
 @dataclass(frozen=True)
 class FemSolution:
@@ -205,56 +191,6 @@ def _points(lengths: np.ndarray, lefts: np.ndarray, point_map: np.ndarray) -> np
     return edges @ point_map
 
 
-def _half(run, items: list, first: int, results: dict, failures: dict) -> None:
-    """Run `run` of items `first`, `first + 2`, ... in order: one half of a split.
-
-    Each result goes into `results` under its item's index.  The first item
-    that raises ends the half, its exception going into `failures` under its
-    index.  This is the package's one split rule: `_each_block` runs the two
-    halves of a call's blocks on the calling thread and a helper thread, and
-    `cli._each_point` the two halves of a command's points in the CLI process
-    and a forked worker.  Both then raise ``failures[min(failures)]``, the
-    exception of the first failing item in item order, which is the one a
-    serial loop raises, since each half ran in order up to its first failure.
-    """
-    for index in range(first, len(items), 2):
-        try:
-            results[index] = run(items[index])
-        except Exception as error:  # raised by the caller of both halves, in item order
-            failures[index] = error
-            return
-
-
-def _each_block(body, blocks: list) -> None:
-    """Call `body(*block)` once for each block, the blocks split between two threads.
-
-    The calling thread runs the even blocks and one helper thread the odd
-    ones, each by `_half`; with one block, or with `_WORKERS` at 1, every
-    block runs inline, with no thread.  The bodies must write disjoint
-    results, so the results do not depend on the split.  If blocks raise,
-    the exception of the first of them in block order is raised once the
-    helper has ended: the one a serial loop would raise.
-    """
-    if _WORKERS < 2 or len(blocks) < 2:
-        for block in blocks:
-            body(*block)
-        return
-
-    def run(block) -> None:
-        body(*block)
-
-    failures = {}  # block index -> its exception; each half stops at its first
-    helper = threading.Thread(target=_half, args=(run, blocks, 1, {}, failures))
-    try:
-        helper.start()
-        _half(run, blocks, 0, {}, failures)
-    finally:
-        if helper.ident is not None:  # started: a failed start raises above
-            helper.join()
-    if failures:
-        raise failures[min(failures)]
-
-
 def _problem_values(problem: Problem1D, name: str, x: np.ndarray) -> np.ndarray:
     """The values of `problem`'s callable `name` at the points `x`, as float64.
 
@@ -295,10 +231,10 @@ def _element_loads(mesh: Mesh1D, k: int, problem: Problem1D) -> np.ndarray:
         return _block_loads(lengths, lefts, k, problem)
     loads = np.empty((mesh.n_elements, k + 1))
 
-    def load(_, elements: slice) -> None:
+    def load(elements: slice) -> None:
         loads[elements] = _block_loads(lengths[elements], lefts[elements], k, problem)
 
-    _each_block(load, list(_blocks(1, mesh.n_elements, points, _BLOCK)))
+    _each_block(load, [elements for _, elements in _blocks(1, mesh.n_elements, points, _BLOCK)])
     return loads
 
 
@@ -386,7 +322,8 @@ def h1_errors(
     l2_elements = np.empty((n_trials, n_elements))
     semi_elements = np.empty((n_trials, n_elements))
 
-    def integrate(trials: slice, elements: slice) -> None:
+    def integrate(block: tuple[slice, slice]) -> None:
+        trials, elements = block
         block_lengths = lengths[trials, elements]
         rows = block_lengths.shape
         x_quad = _points(block_lengths, nodes[trials, :-1][:, elements], point_map)

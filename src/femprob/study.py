@@ -157,13 +157,13 @@ def fit_constant(
 
     With `fix_rate` the exponent is pinned to the theoretical order and only
     the constant is estimated.  Records at or below the rounding floor carry
-    no rate information and are dropped first; refuses to fit when fewer
-    than three distinct mesh sizes remain.  Every record of the order must
-    have a positive, finite `h_max` and a finite `error_h1`, both real
+    no rate information and are dropped first; refuses to fit when the rest
+    span fewer than three element counts (jittered meshes of one count all
+    differ in `h_max`, but they measure no rate).  Every record of the order
+    must have a positive, finite `h_max` and a finite `error_h1`, both real
     numbers (`errors._checked_real`); any other is a `ParameterError`
-    naming the field.  (`ConvergenceRecord` does not check
-    them itself: a study builds thousands of records, and only a fit needs
-    these.)
+    naming the field.  (`ConvergenceRecord` does not check them itself: a
+    study builds thousands of records, and only a fit needs these.)
     """
     order = _checked_count(order, "order")
     subset = [r for r in records if r.order == order]
@@ -176,9 +176,7 @@ def fit_constant(
         raise ParameterError(f"error_h1 of every order-{order} record must be finite")
     clean = err > _NOISE_FLOOR
     h, err = h[clean], err[clean]
-    # sorted neighbours, not np.unique, whose first call imports numpy.ma
-    h_sorted = np.sort(h)
-    n_sizes = np.count_nonzero(h_sorted[1:] != h_sorted[:-1]) + (h.size > 0)
+    n_sizes = len({r.n_elements for r, kept in zip(subset, clean) if kept})
     if n_sizes < 3:
         raise InsufficientDataError(
             f"need >= 3 distinct mesh sizes for order {order} with errors above"

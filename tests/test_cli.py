@@ -2,6 +2,7 @@
 of the output writer."""
 
 import itertools
+import json
 import os
 import signal
 import stat
@@ -12,7 +13,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from femprob import ParameterError, cli, convergence_study, fem, get_problem
+from femprob import ParameterError, _split, cli, convergence_study, get_problem
 
 SINE = get_problem("sine")
 
@@ -672,8 +673,8 @@ def _alive(pid):
 
 
 class TestPointRunner:
-    """`cli._each_point` hands the odd points of `mc`, `fem` and `compare`
-    to one forked worker when the process may use two CPUs (`fem._WORKERS`);
+    """`_split._each_point` hands the odd points of `mc`, `fem` and `compare`
+    to one forked worker when the process may use two CPUs (`_split._WORKERS`);
     nothing a caller sees depends on it, and no worker outlives its call."""
 
     @pytest.fixture
@@ -703,7 +704,7 @@ class TestPointRunner:
     def test_worker_changes_no_byte(self, tmp_path, monkeypatch, forks, args):
         runs = {}
         for workers in (1, 2):
-            monkeypatch.setattr(fem, "_WORKERS", workers)
+            monkeypatch.setattr(_split, "_WORKERS", workers)
             out = tmp_path / f"{workers}.csv"
             result = CliRunner().invoke(cli.main, [*map(str, args), "--out", str(out)])
             files = sorted((p.name[1:], p.read_bytes()) for p in tmp_path.glob(f"{workers}*"))
@@ -728,7 +729,7 @@ class TestPointRunner:
         monkeypatch.setattr("femprob.study.convergence_study", study)
         lines = {}
         for workers in (1, 2):
-            monkeypatch.setattr(fem, "_WORKERS", workers)
+            monkeypatch.setattr(_split, "_WORKERS", workers)
             result = CliRunner().invoke(
                 cli.main, ["fem", "--orders", "1,2,3,4", "--n-list", "4,8,16"]
             )
@@ -750,15 +751,15 @@ class TestPointRunner:
             return convergence_study(problem, order, *args)
 
         monkeypatch.setattr("femprob.study.convergence_study", study)
-        monkeypatch.setattr(fem, "_WORKERS", workers)
+        monkeypatch.setattr(_split, "_WORKERS", workers)
         result = CliRunner().invoke(cli.main, ["fem", "--orders", "1,2", "--n-list", "4,8,16"])
         assert (result.exit_code, result.stderr) == (2, f"error: {line}\n")
         assert _no_child_left()
 
     def test_points_come_back_in_order_and_the_worker_is_reaped(self, monkeypatch, forks):
-        monkeypatch.setattr(fem, "_WORKERS", 2)
-        assert cli._each_point(lambda x: x * x, [0.5, 1, 2, 3, 4]) == [0.25, 1, 4, 9, 16]
-        assert cli._each_point(str, [7]) == ["7"]  # one point runs here, unforked
+        monkeypatch.setattr(_split, "_WORKERS", 2)
+        assert _split._each_point(lambda x: x * x, [0.5, 1, 2, 3, 4]) == [0.25, 1, 4, 9, 16]
+        assert _split._each_point(str, [7]) == ["7"]  # one point runs here, unforked
         assert len(forks) == (sys.platform == "linux") and _no_child_left()
 
     @pytest.mark.skipif(sys.platform != "linux", reason="the worker forks on Linux only")
@@ -766,23 +767,23 @@ class TestPointRunner:
     def test_both_halves_run_their_blocks_inline(self, monkeypatch, forks, failing):
         # one level of parallelism: while the points are split, neither
         # process starts a helper thread, and the setting is restored after
-        monkeypatch.setattr(fem, "_WORKERS", 2)
+        monkeypatch.setattr(_split, "_WORKERS", 2)
 
         def run(item):
             if item == failing:
                 raise ParameterError(f"item {item} fails")
-            return item, fem._WORKERS
+            return item, _split._WORKERS
 
         if failing is None:
-            assert cli._each_point(run, [0, 1, 2, 3]) == [(0, 1), (1, 1), (2, 1), (3, 1)]
+            assert _split._each_point(run, [0, 1, 2, 3]) == [(0, 1), (1, 1), (2, 1), (3, 1)]
         else:
             with pytest.raises(ParameterError, match=f"^item {failing} fails$"):
-                cli._each_point(run, [0, 1, 2, 3])
-        assert fem._WORKERS == 2
+                _split._each_point(run, [0, 1, 2, 3])
+        assert _split._WORKERS == 2
         assert len(forks) == 1 and _no_child_left()
 
     def test_failure_in_the_workers_share_is_raised_and_reaped(self, monkeypatch):
-        monkeypatch.setattr(fem, "_WORKERS", 2)
+        monkeypatch.setattr(_split, "_WORKERS", 2)
 
         def run(item):
             if item == 3:
@@ -790,12 +791,12 @@ class TestPointRunner:
             return item
 
         with pytest.raises(ValueError, match="^point 3$"):
-            cli._each_point(run, list(range(6)))
+            _split._each_point(run, list(range(6)))
         assert _no_child_left()
 
     @pytest.mark.skipif(sys.platform != "linux", reason="the worker forks on Linux only")
     def test_worker_that_ends_without_results_fails_its_first_point(self, monkeypatch):
-        monkeypatch.setattr(fem, "_WORKERS", 2)
+        monkeypatch.setattr(_split, "_WORKERS", 2)
 
         def run(item):
             if item == 1:
@@ -805,13 +806,13 @@ class TestPointRunner:
             return item
 
         with pytest.raises(ChildProcessError, match="ended with status 3"):
-            cli._each_point(run, [0, 1, 2])
+            _split._each_point(run, [0, 1, 2])
         with pytest.raises(ValueError, match="^point 2$"):
-            cli._each_point(run, [2, 1])  # the caller's point 2 comes first
+            _split._each_point(run, [2, 1])  # the caller's point 2 comes first
         assert _no_child_left()
 
     def test_interrupt_in_the_callers_share_kills_the_worker(self, monkeypatch, forks):
-        monkeypatch.setattr(fem, "_WORKERS", 2)
+        monkeypatch.setattr(_split, "_WORKERS", 2)
 
         def run(item):
             if item == 0:
@@ -820,7 +821,7 @@ class TestPointRunner:
 
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            cli._each_point(run, [0, 1])
+            _split._each_point(run, [0, 1])
         assert time.monotonic() - start < 30
         assert _no_child_left()
 
@@ -829,8 +830,8 @@ class TestPointRunner:
         # the CLI announces its worker's pid, then is killed mid-sweep
         code = (
             "import os, sys\n"
-            "from femprob import cli, fem\n"
-            "fem._WORKERS = 2\n"
+            "from femprob import _split, cli\n"
+            "_split._WORKERS = 2\n"
             "fork = os.fork\n"
             "def announced_fork():\n"
             "    pid = fork()\n"
@@ -875,7 +876,7 @@ def test_both_splits_match_a_serial_loop(monkeypatch, count, workers):
     # every subset of failing items: the forked worker's points and the helper
     # thread's blocks give what a serial loop returns, or raise what it raises,
     # and each half of the blocks stops at its first failure
-    monkeypatch.setattr(fem, "_WORKERS", workers)
+    monkeypatch.setattr(_split, "_WORKERS", workers)
     items = list(range(count))
     step = workers  # the blocks of one half are `step` apart
     for failing in itertools.chain.from_iterable(
@@ -886,14 +887,14 @@ def test_both_splits_match_a_serial_loop(monkeypatch, count, workers):
             return item * item
 
         serial = _outcome(lambda: [run(item) for item in items])
-        assert _outcome(lambda: cli._each_point(run, items)) == serial
+        assert _outcome(lambda: _split._each_point(run, items)) == serial
         ran, written = set(), {}
 
         def body(item):
             ran.add(item)
             written[item] = run(item)
 
-        blocks = _outcome(lambda: fem._each_block(body, [(item,) for item in items]))
+        blocks = _outcome(lambda: _split._each_block(body, items))
         assert ran == {item for item in items
                        if not any(bad < item and (item - bad) % step == 0 for bad in failing)}
         if serial[0] == "raised":
@@ -906,7 +907,8 @@ def test_both_splits_match_a_serial_loop(monkeypatch, count, workers):
 @pytest.mark.skipif(sys.platform != "linux", reason="the worker forks on Linux only")
 @pytest.mark.parametrize("args", [
     ["mc", *PAIR, "--h-min", 0.1, "--h-max", 1.5, "--points", 4, "--trials", 1000],
-    ["fem", "--problem", "sine24", "--orders", "1,2", "--n-list", "8,16"],
+    ["fem", "--problem", "sine24", "--orders", "1,2", "--n-list", "8,16",
+     "--fit-out", os.devnull],
     ["compare", "--problem", "sine24", "--n-list", "2,4,8", "--trials", 10],
 ], ids=["mc", "fem", "compare"])
 def test_cli_forks_its_worker_from_one_thread(args):
@@ -917,8 +919,8 @@ def test_cli_forks_its_worker_from_one_thread(args):
     # across fork() would draw the warning
     code = (
         "import os, sys\n"
-        "from femprob import cli, fem\n"
-        "fem._WORKERS = 2\n"
+        "from femprob import _split, cli\n"
+        "_split._WORKERS = 2\n"
         "def threads():\n"
         "    with open('/proc/self/status') as status:\n"
         "        return [line.split()[1] for line in status if line.startswith('Threads:')]\n"
@@ -982,32 +984,66 @@ def test_law_loads_only_the_laws():
         "femprob", "femprob.cli", "femprob.errors", "femprob.laws"]
 
 
+# what `fem` and `compare` run and `mc` does not
+SOLVER = ["femprob.fem", "femprob.mesh", "femprob.problems", "femprob.study", "numpy.polynomial"]
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="the worker forks on Linux only")
-@pytest.mark.parametrize("args", [
-    ["mc", *PAIR, "--h-min", 0.1, "--h-max", 1.5, "--points", 4, "--trials", 1000],
-    ["fem", "--problem", "sine24", "--orders", "1,2", "--n-list", "8,16"],
-    ["compare", "--problem", "sine24", "--n-list", "2,4,8", "--trials", 10],
+@pytest.mark.parametrize("args, unloaded", [
+    (["mc", *PAIR, "--h-min", 0.1, "--h-max", 1.5, "--points", 20, "--trials", 1000000,
+      "--seed", 42], SOLVER),  # the README command
+    (["fem", "--problem", "sine24", "--orders", "1,2", "--n-list", "8,16",
+      "--fit-out", os.devnull], []),
+    (["compare", "--problem", "sine24", "--n-list", "2,4,8", "--trials", 10], []),
 ], ids=["mc", "fem", "compare"])
-def test_every_module_is_loaded_before_the_fork(args):
+def test_every_module_is_loaded_before_the_fork(args, unloaded):
     # the worker runs what the CLI process runs, so a module the CLI process
-    # imports after the fork would be imported, and compiled, twice
+    # imports after the fork would be imported, and compiled, twice; and the
+    # Monte Carlo command, which solves nothing, loads no solver module
     code = (
-        "import os, sys\n"
-        "from femprob import cli, fem\n"
-        "fem._WORKERS = 2\n"
+        "import json, os, sys\n"
+        "from femprob import _split, cli\n"
+        "_split._WORKERS = 2\n"
         "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('femprob'))\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.startswith('femprob') or m == 'numpy.polynomial')\n"
         "at_fork = []\n"
         "os.register_at_fork(before=lambda: at_fork.append(loaded()))\n"
         "try:\n"
         f"    cli.main({list(map(str, args))!r} + ['--out', os.devnull])\n"
         "except SystemExit as exit:\n"
         "    assert exit.code == 0, exit.code\n"
-        "print(at_fork == [loaded()], at_fork, loaded())\n"
+        "print(json.dumps([at_fork, loaded()]))\n"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("True "), result.stdout
+    at_fork, loaded = json.loads(result.stdout)
+    assert at_fork == [loaded]
+    assert sorted(set(unloaded) & set(loaded)) == []
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="only the Linux CLI forks")
+def test_no_library_call_forks():
+    # `_split._each_point` forks, and only the CLI calls it: a library call,
+    # here of several quadrature blocks, splits on a helper thread at most
+    code = (
+        "import os\n"
+        "from femprob import _split, convergence_study, get_problem\n"
+        "from femprob.laws import ElementPair\n"
+        "from femprob.oracle import mc_estimate\n"
+        "from femprob.study import superiority_sweep\n"
+        "_split._WORKERS = 2\n"
+        "forks = []\n"
+        "os.register_at_fork(before=lambda: forks.append(1))\n"
+        "sine24 = get_problem('sine24')\n"
+        "superiority_sweep(sine24, 1, 2, [2, 4, 8], 20, 0.3, 7)\n"
+        "convergence_study(sine24, 1, [20000], 0.3, 1, 7)  # several blocks a call\n"
+        "mc_estimate(ElementPair.from_constants(1, 1, 2, 2), 0.5, 100000, 7)\n"
+        "print(len(forks))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
 
 
 @pytest.mark.parametrize("module", ["multiprocessing", "concurrent.futures"])

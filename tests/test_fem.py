@@ -18,6 +18,7 @@ from scipy.linalg import solveh_banded
 from femprob import (
     ParameterError,
     Problem1D,
+    _split,
     assemble_solve,
     build_mesh,
     convergence_study,
@@ -621,9 +622,9 @@ def _failing_in(first_bad, make_error):
 
 
 class TestBlockRunner:
-    """`fem._each_block` splits a call's blocks between the caller and one
-    helper thread, or runs them inline at `_WORKERS = 1`; nothing a caller
-    sees depends on it."""
+    """`_split._each_block` splits a `fem` call's blocks between the caller
+    and one helper thread, or runs them inline at `_WORKERS = 1`; nothing
+    a caller sees depends on it."""
 
     @pytest.mark.parametrize("order", range(1, 11))
     def test_worker_count_changes_no_bit(self, order, monkeypatch):
@@ -634,7 +635,7 @@ class TestBlockRunner:
         outputs = {}
         interval = sys.getswitchinterval()
         for workers in (1, 2):
-            monkeypatch.setattr(fem, "_WORKERS", workers)
+            monkeypatch.setattr(_split, "_WORKERS", workers)
             problem, calls = counting(get_problem("sine24"))
             got = []
             sys.setswitchinterval(1e-6)
@@ -656,7 +657,7 @@ class TestBlockRunner:
         """The exception of a 150-element solve at `_WORKERS = workers`, in
         blocks of 40 elements, whose problem `make_problem(nodes)` fails."""
         monkeypatch.setattr(fem, "_BLOCK", 40 * (2 + fem._ASSEMBLY_EXTRA_POINTS))
-        monkeypatch.setattr(fem, "_WORKERS", workers)
+        monkeypatch.setattr(_split, "_WORKERS", workers)
         mesh = build_mesh(150, 0.3, seed=1)
         with pytest.raises(Exception) as raised:
             assemble_solve(mesh, 2, make_problem(mesh.nodes))
@@ -689,7 +690,7 @@ class TestBlockRunner:
         assert self._split_failure(workers, monkeypatch, failing) == serial
 
     def test_helpers_are_joined_and_single_blocks_run_inline(self, monkeypatch):
-        monkeypatch.setattr(fem, "_WORKERS", 2)
+        monkeypatch.setattr(_split, "_WORKERS", 2)
         start = threading.active_count()
         problem, threads = _failing_in(np.inf, ValueError)
         assemble_solve(build_mesh(8, 0.3, seed=1), 3, problem)
@@ -700,11 +701,11 @@ class TestBlockRunner:
         mesh = build_mesh(40, 0.3, seed=1)
         split = assemble_solve(mesh, 3, problem)
         assert len(threads) == 2 and threading.active_count() == start
-        monkeypatch.setattr(fem, "_WORKERS", 1)
+        monkeypatch.setattr(_split, "_WORKERS", 1)
         serial = assemble_solve(mesh, 3, problem)
         assert split.bubbles.tobytes() == serial.bubbles.tobytes()
 
-        monkeypatch.setattr(fem, "_WORKERS", 2)
+        monkeypatch.setattr(_split, "_WORKERS", 2)
         problem, _ = _failing_in(0.0, lambda x: ValueError("bad block"))
         with pytest.raises(ValueError, match="^bad block$"):
             assemble_solve(mesh, 3, problem)

@@ -163,6 +163,13 @@ class TestFitConstant:
         with pytest.raises(InsufficientDataError, match=f", got {distinct};"):
             fit_constant(records, 1)
 
+    def test_jittered_meshes_of_one_count_are_one_size(self):
+        # five jittered 64-element meshes differ in h_max but measure no rate
+        records = convergence_study(SINE, 1, [64], 0.3, 5, 42)
+        assert len({r.h_max for r in records}) == 5
+        with pytest.raises(InsufficientDataError, match=", got 1;"):
+            fit_constant(records, 1)
+
     def test_fit_leaves_numpy_ma_unloaded(self):
         # np.unique imports numpy.ma on its first call, 9-15 ms of a fresh
         # fem or compare process
