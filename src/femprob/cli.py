@@ -7,7 +7,10 @@ superiority experiment on real finite-element errors.
 
 All data goes to the output path (default stdout) as CSV with `#` comment
 headers recording parameters and validation thresholds; diagnostics go to
-stderr.  `_cell` is the one rule that formats a value of those files,
+stderr.  `_emit` is the one writer of those files: it joins, in order, the
+outputs that name one target (`-` or one resolved path), writes a stream
+(`-`, a device, a pipe: `_in_place`) in place and replaces a file as a
+whole.  `_cell` is the one rule that formats a value of those files,
 `_row` builds every data row from it and `_params` every `# key=value`
 header line.  Reruns with identical flags and seed produce byte-identical
 files.
@@ -161,24 +164,35 @@ def _h_grid(h_min: float, h_max: float, points: int, spacing: str) -> np.ndarray
     return grid
 
 
-def _emit(out: str, lines: list[str], *more: tuple[str, list[str]]) -> None:
-    """Write `lines` to `out`, and each further `(out, lines)` pair, as one set.
+def _in_place(out: str) -> bool:
+    """Whether `out` is written in place, not replaced: stdout (`-`), or an
+    existing path that is not a regular file, such as /dev/null or a pipe."""
+    return out == "-" or (Path(out).exists() and not Path(out).is_file())
 
-    An `out` of `-` is stdout.  A file's text goes to a temp file beside it;
-    only once every temp file is written does `os.replace` move them into
-    place, so a failed write leaves no partial file, no temp file and no
-    file of the set without the others.
+
+def _emit(*outputs: tuple[str, list[str]]) -> None:
+    """Write each `(out, lines)` pair, as one set.
+
+    Pairs that name one target, `-` or one resolved path
+    (`os.path.realpath`), are joined in order into one text, written under
+    the first pair's `out`.  A target that `_in_place` names a stream is
+    written in place.  A file's text goes to a temp file beside it; only
+    once every temp file is written does `os.replace` move them into place,
+    so a failed write leaves no partial file, no temp file and no file of
+    the set without the others.
     """
+    joined: dict[str, tuple[str, list[str]]] = {}
+    for out, lines in outputs:
+        joined.setdefault(out if out == "-" else os.path.realpath(out), (out, []))[1].extend(lines)
     staged: list[tuple[Path, Path]] = []
-    in_place: list[tuple[Path | None, str]] = []
+    in_place: list[tuple[str, str]] = []
     try:
-        for out, lines in ((out, lines), *more):
+        for out, lines in joined.values():
             text = "\n".join(lines) + "\n"
-            target = None if out == "-" else Path(out)
-            if target is None or (target.exists() and not target.is_file()):
-                # stdout, a device or a pipe (say /dev/null) is written, never replaced
-                in_place.append((target, text))
+            if _in_place(out):
+                in_place.append((out, text))
                 continue
+            target = Path(out)
             temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
             try:
                 handle = open(temp, "x")
@@ -188,11 +202,11 @@ def _emit(out: str, lines: list[str], *more: tuple[str, list[str]]) -> None:
             staged.append((temp, target))
             with handle:
                 handle.write(text)
-        for target, text in in_place:
-            if target is None:
+        for out, text in in_place:
+            if out == "-":
                 sys.stdout.write(text)
             else:
-                target.write_text(text)
+                Path(out).write_text(text)
         for temp, target in staged:
             os.replace(temp, target)
     except BaseException:
@@ -283,14 +297,14 @@ def law(ck, k, cm, m, h_min, h_max, points, spacing, out):
     from .laws import ElementPair, prob_sigmoid, prob_two_step
 
     pair = ElementPair.from_constants(ck, k, cm, m)
-    _emit(out, [
+    _emit((out, [
         "# femprob law",
         _params(ck=ck, k=k, cm=cm, m=m),
         _params(h_star=pair.h_star),
         "h,p_two_step,p_sigmoid",
         *(_row(h, prob_two_step(pair, h), prob_sigmoid(pair, h))
           for h in _h_grid(h_min, h_max, points, spacing)),
-    ])
+    ]))
 
 
 @main.command()
@@ -333,7 +347,7 @@ def mc(ck, k, cm, m, h_min, h_max, points, spacing, trials, sigma_factor, valida
         within = abs(estimate.p_hat - p) <= band
         all_within &= within
         lines.append(_row(h, p, estimate.p_hat, estimate.std_error, within))
-    _emit(out, lines)
+    _emit((out, lines))
     return ["Monte Carlo estimates left the sigma band"] if validate and not all_within else []
 
 
@@ -362,9 +376,6 @@ def fem(problem, orders, n_list, jitter, trials, fix_rate, fit_out, validate_rat
     from ._split import _each_point
 
     problem = get_problem(problem)
-    if fit_out is None:
-        stem = Path(out)
-        fit_out = "-" if out == "-" else str(stem.with_name(f"{stem.stem}_fit{stem.suffix}"))
 
     studies = _each_point(
         lambda order: convergence_study(problem, order, n_list, jitter, trials, seed), orders
@@ -401,12 +412,10 @@ def fem(problem, orders, n_list, jitter, trials, fix_rate, fit_out, validate_rat
                 err=True,
             )
 
-    if out == fit_out or (
-        "-" not in (out, fit_out) and Path(out).resolve() == Path(fit_out).resolve()
-    ):
-        _emit(out, record_lines + fit_lines)
-    else:
-        _emit(out, record_lines, (fit_out, fit_lines))
+    if fit_out is None:  # fits follow the records to a stream, else go to <stem>_fit<suffix>
+        stem = Path(out)
+        fit_out = out if _in_place(out) else str(stem.with_name(f"{stem.stem}_fit{stem.suffix}"))
+    _emit((out, record_lines), (fit_out, fit_lines))
     return ["fitted rates failed validation"] if validate_rates and not rates_ok else []
 
 
@@ -470,7 +479,7 @@ def compare(problem, order_low, order_high, n_list, jitter, trials, validate_cro
              prob_sigmoid(pair, point.h_mean))
         for point in points
     )
-    _emit(out, lines)
+    _emit((out, lines))
 
     click.echo(
         f"fitted h* = {pair.h_star:.6g}; empirical 0.5-crossing = "

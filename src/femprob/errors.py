@@ -26,8 +26,9 @@ float64 holds every integer exactly: trial, element and grid counts enter
 float arithmetic (``wins / trials``, ``1 / n_elements``).  Only the draw
 counts, offsets and indices of `rng`, which stay integers, go beyond it.
 An element order is at most `MAX_ORDER`, the highest degree `fem`
-supports; it lives here so that the command line can check an order flag
-without importing the solver.
+supports: `fem` and `study.superiority_sweep` check an order as a count
+with that maximum.  It lives here so that the command line can check an
+order flag without importing the solver.
 """
 
 import math

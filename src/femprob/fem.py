@@ -69,12 +69,12 @@ class FemSolution:
     ``slopes[e]`` is the slope of u_h's vertex interpolant on element e
     (the mean of u_h' there); ``bubbles[e, j - 2]`` is the coefficient of
     bubble j.  Vertex values follow from u(0) = 0 as a running sum of
-    slope times element length.  The order and the two arrays are checked
-    by the rule of `_checked_solves`, which `h1_errors` applies to the
-    arrays of many solves at once.  `assemble_solve` makes its solves by
-    `_store`, without that check of the order and arrays it has just made;
-    a mesh whose load points fit in one `_BLOCK` it solves in one pass,
-    with no block walker.
+    slope times element length (`_vertex_values`).  The order and the two
+    arrays are checked by the rule of `_checked_solves`, which `h1_errors`
+    applies to the arrays of many solves at once.  `assemble_solve` makes
+    its solves by `_store`, without that check of the order and arrays it
+    has just made; a mesh whose load points fit in one `_BLOCK` it solves
+    in one pass, with no block walker.
     """
 
     order: int
@@ -91,16 +91,6 @@ class FemSolution:
         self.__dict__.update(order=order, mesh=mesh, slopes=slopes, bubbles=bubbles)
         return self
 
-    def element_values(self) -> np.ndarray:
-        """Per element, the Lobatto coefficients of u_h: both vertex values, then bubbles."""
-        vertex_values = np.zeros(self.mesh.n_elements + 1)
-        (self.slopes * self.mesh.gaps).cumsum(out=vertex_values[1:])
-        out = np.empty((self.mesh.n_elements, self.order + 1))
-        out[:, 0] = vertex_values[:-1]
-        out[:, 1] = vertex_values[1:]
-        out[:, 2:] = self.bubbles
-        return out
-
     @property
     def coefficients(self) -> np.ndarray:
         """u_h at the equispaced degree-k Lagrange nodes, boundaries zero.
@@ -109,27 +99,36 @@ class FemSolution:
         derived on each access, not stored.
         """
         local_values, _ = _lobatto_tables(self.order, np.arange(self.order) / self.order)
-        nodal = self.element_values() @ local_values.T
+        nodal = _coefficients(_vertex_values(self.slopes, self.mesh.gaps),
+                              self.bubbles) @ local_values.T
         return np.append(nodal.ravel(), 0.0)
 
 
-def _fem_order(order) -> int:
-    """An element order this module supports: an integer in [1, MAX_ORDER]."""
-    k = _checked_count(order, "order")
-    if k > MAX_ORDER:
-        raise ParameterError(f"order must lie in [1, {MAX_ORDER}], got {k}")
-    return k
+def _vertex_values(slopes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """u_h at the vertices of each mesh row: 0, then the running sum of
+    slope times element length."""
+    values = np.zeros(slopes.shape[:-1] + (slopes.shape[-1] + 1,))
+    np.cumsum(slopes * lengths, axis=-1, out=values[..., 1:])
+    return values
+
+
+def _coefficients(vertex_values: np.ndarray, bubbles: np.ndarray) -> np.ndarray:
+    """Per element, u_h's Lobatto coefficients: its left and right vertex
+    values (`_vertex_values`, one more per row than elements), then its
+    bubbles."""
+    return np.concatenate((vertex_values[..., :-1, None], vertex_values[..., 1:, None], bubbles),
+                          axis=-1)
 
 
 def _checked_solves(order, slopes, bubbles, shape: tuple[int, ...]) -> int:
-    """The order of the solves these arrays hold, checked by `_fem_order`.
+    """The order of the solves these arrays hold, an integer in [1, MAX_ORDER].
 
     `slopes` and `bubbles` must be numpy arrays of real numbers
     (`errors._checked_real`) of shape `shape` and ``shape + (k - 1,)``,
     where `shape` is that of the mesh gaps: (elements,) for one mesh,
     (meshes, elements) for node rows.  Anything else is a `ParameterError`.
     """
-    k = _fem_order(order)
+    k = _checked_count(order, "order", maximum=MAX_ORDER)
     want = shape + (k - 1,)
     if not (isinstance(slopes, np.ndarray) and isinstance(bubbles, np.ndarray)
             and slopes.shape == shape and bubbles.shape == want):
@@ -246,7 +245,7 @@ def assemble_solve(mesh: Mesh1D, order: int, problem: Problem1D) -> FemSolution:
     the vertex loads; u(1) = 0, i.e. sum_e h_e s_e = 0, fixes the constant.
     Bubble j of element e decouples: b_ej / h_e = l(phi_ej).
     """
-    k = _fem_order(order)
+    k = _checked_count(order, "order", maximum=MAX_ORDER)
     loads = _element_loads(mesh, k, problem)
     lengths = mesh.gaps
 
@@ -280,7 +279,8 @@ def _trials_per_block(n_elements: int, order: int) -> int:
     gets one block per call, so one call of each exact-solution callable
     per call.
     """
-    return _rows_per_block(n_elements, _fem_order(order) + _ERROR_EXTRA_POINTS, _BLOCK)
+    k = _checked_count(order, "order", maximum=MAX_ORDER)
+    return _rows_per_block(n_elements, k + _ERROR_EXTRA_POINTS, _BLOCK)
 
 
 def h1_errors(
@@ -306,8 +306,9 @@ def h1_errors(
     add a rounding floor on fine meshes.
 
     The squared errors are integrated per element, block by block (see
-    `rng._blocks`), from u_h's coefficients of that block, sliced from
-    one running sum of the vertex values per mesh; the sums over elements
+    `rng._blocks`), from u_h's coefficients of that block (`_coefficients`),
+    sliced from one running sum of the vertex values per mesh
+    (`_vertex_values`); the sums over elements
     run once per mesh over all of them.  The products run stacked, one
     BLAS call per mesh of the block, so each mesh's errors equal its own
     one-row call bit for bit, whatever the other meshes of the block.
@@ -316,8 +317,7 @@ def h1_errors(
     n_trials, n_elements = lengths.shape
     k = _checked_solves(order, slopes, bubbles, lengths.shape)
     point_map, weights, values, derivs = _reference_element(k, _ERROR_EXTRA_POINTS)
-    vertex_values = np.zeros((n_trials, n_elements + 1))
-    np.cumsum(slopes * lengths, axis=1, out=vertex_values[:, 1:])
+    vertex_values = _vertex_values(slopes, lengths)
 
     l2_elements = np.empty((n_trials, n_elements))
     semi_elements = np.empty((n_trials, n_elements))
@@ -330,10 +330,8 @@ def h1_errors(
         # u_h's coefficients against the basis and, for u_h', against 1
         # and the bubble derivatives (d/dt of the hat t is 1)
         block_bubbles = bubbles[trials, elements]
-        coeffs = np.empty(rows + (k + 1,))
-        coeffs[..., 0] = vertex_values[trials, :-1][:, elements]
-        coeffs[..., 1] = vertex_values[trials, 1:][:, elements]
-        coeffs[..., 2:] = block_bubbles
+        block_vertices = vertex_values[trials, elements.start:elements.stop + 1]
+        coeffs = _coefficients(block_vertices, block_bubbles)
         slope_coeffs = np.empty(rows + (k,))
         slope_coeffs[..., 0] = slopes[trials, elements]
         np.divide(block_bubbles, block_lengths[..., None], out=slope_coeffs[..., 1:])
@@ -377,7 +375,8 @@ def galerkin_residual(solution: FemSolution, problem: Problem1D) -> float:
     k = solution.order
     _, weights, _, derivs = _reference_element(k, _ASSEMBLY_EXTRA_POINTS)
     loads = _element_loads(solution.mesh, k, problem)
-    duh = solution.element_values() @ derivs.T  # d/dt of u_h at the points
+    coeffs = _coefficients(_vertex_values(solution.slopes, solution.mesh.gaps), solution.bubbles)
+    duh = coeffs @ derivs.T  # d/dt of u_h at the points
     actions = ((duh * weights) @ derivs) / solution.mesh.gaps[:, None]
 
     def interior(rows):  # one entry per interior vertex, then one per bubble

@@ -24,8 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (InsufficientDataError, ParameterError, _checked_count, _checked_floats,
-                     _checked_increasing, _checked_real)
+from .errors import (MAX_ORDER, InsufficientDataError, ParameterError, _checked_count,
+                     _checked_floats, _checked_increasing, _checked_real)
 from .fem import _trials_per_block, assemble_solve, h1_errors
 from .mesh import Mesh1D, build_mesh, jittered_nodes
 from .oracle import McEstimate
@@ -231,8 +231,8 @@ def superiority_sweep(
     of each solve.
     """
     n_list = _checked_increasing(n_list, "n_list", _checked_count)
-    order_low = _checked_count(order_low, "order_low")
-    order_high = _checked_count(order_high, "order_high")
+    order_low = _checked_count(order_low, "order_low", maximum=MAX_ORDER)
+    order_high = _checked_count(order_high, "order_high", maximum=MAX_ORDER)
     if order_low >= order_high:
         raise ParameterError(
             f"order_low must be < order_high, got {order_low} >= {order_high}"

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through real subprocesses, plus in-process checks
 of the output writer."""
 
+import contextlib
 import itertools
 import json
 import os
@@ -8,6 +9,7 @@ import signal
 import stat
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -647,11 +649,42 @@ class TestAtomicOutput:
         os.mkfifo(pipe)
         reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
         try:
-            cli._emit(str(pipe), ["a,b", "1,2"])
+            cli._emit((str(pipe), ["a,b", "1,2"]))
             assert os.read(reader, 100) == b"a,b\n1,2\n"
         finally:
             os.close(reader)
         assert stat.S_ISFIFO(pipe.stat().st_mode)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fem_fits_follow_the_records_into_a_pipe(self, tmp_path):
+        # the fit path was derived from the pipe's name, so the fits went to
+        # a regular file `out_fit` beside it (and --out /dev/null made /dev/null_fit)
+        args = ["fem", "--problem", "sine", "--orders", "1", "--n-list", "4,8,16"]
+        pipe = tmp_path / "out"
+        os.mkfifo(pipe)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(pipe.read_text()),
+                                  daemon=True)
+        reader.start()
+        try:
+            run_cli(*args, "--out", pipe)
+        finally:
+            with contextlib.suppress(OSError):  # frees a reader that no writer opened
+                os.close(os.open(pipe, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert received == [run_cli(*args).stdout]
+        assert "# femprob fem fits" in received[0]
+        assert list(tmp_path.iterdir()) == [pipe]
+
+    def test_outputs_naming_one_target_are_joined_in_order(self, tmp_path, monkeypatch,
+                                                           capsys):
+        monkeypatch.chdir(tmp_path)
+        cli._emit(("x.csv", ["a"]), ("./x.csv", ["b"]))
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+        assert (tmp_path / "x.csv").read_text() == "a\nb\n"
+        cli._emit(("-", ["a"]), ("-", ["b"]))
+        assert capsys.readouterr().out == "a\nb\n"
 
 
 def _no_child_left():

@@ -443,8 +443,9 @@ class TestFemSolution:
             (True, "^order must be an integer, got True$"),
             (11, r"^order must lie in \[1, 10\], got 11$"),
             (1.5, "^order must be an integer, got 1.5$"),
+            (0, r"^order must lie in \[1, 10\], got 0$"),
         ],
-        ids=["bool", "above-max", "float"],
+        ids=["bool", "above-max", "float", "zero"],
     )
     def test_order_checked(self, order, message):
         # the bubbles have the shape the order implies, so only the order is wrong

@@ -207,6 +207,11 @@ class TestEmpiricalSuperiority:
         with pytest.raises(ParameterError):
             empirical_superiority(SINE, 2, 2, 8, trials=4, jitter=0.1, seed=0)
 
+    def test_order_above_the_highest_is_refused_up_front(self):
+        # `fem`'s order ceiling, named by the argument, before any mesh is solved
+        with pytest.raises(ParameterError, match=r"^order_high must lie in \[1, 10\], got 11$"):
+            superiority_sweep(SINE, 1, 11, [4], 2, 0.3, 1)
+
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(ParameterError, match="trials"):
             empirical_superiority(SINE, 1, 2, 8, trials=0, jitter=0.1, seed=0)
