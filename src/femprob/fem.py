@@ -17,7 +17,11 @@ stays in L2 cache, and is as many whole meshes as fit or else whole
 elements of one mesh.  `assemble_solve` walks one mesh, its loads block
 by block through one body, `_block_loads`; a mesh whose load points fit
 in one block (every mesh of n <= 96 elements) is solved in one pass, that
-body called once on the whole mesh, with no walker.  `h1_errors`
+body called once on the whole mesh, with no walker, its bubbles a view of
+that pass's (n, k + 1) loads.  The walker writes each block's loads into
+(n, 2) hat loads, freed once the running sum has read them, and (n, k - 1)
+bubble loads that become the solve's bubbles, so a large solve holds only
+its solution.  `h1_errors`
 integrates the errors of many solves of one order, given as arrays with
 one row per mesh, and `h1_error` is its one-mesh call.  A block yields
 per-element results only (loads, weighted squared errors); the global
@@ -74,7 +78,9 @@ class FemSolution:
     applies to the arrays of many solves at once.  `assemble_solve` makes
     its solves by `_store`, without that check of the order and arrays it
     has just made; a mesh whose load points fit in one `_BLOCK` it solves
-    in one pass, with no block walker.
+    in one pass, with no block walker, and its `bubbles` are then a view
+    of that pass's (n, k + 1) load array; a larger mesh's `bubbles` own
+    their bytes, and its hat loads are freed before the solve returns.
     """
 
     order: int
@@ -221,20 +227,30 @@ def _block_loads(lengths: np.ndarray, lefts: np.ndarray, k: int,
     return lengths[:, None] * ((f_quad * weights) @ values)
 
 
-def _element_loads(mesh: Mesh1D, k: int, problem: Problem1D) -> np.ndarray:
-    """Per element of `mesh`, the loads of `_block_loads`: in one pass when the
-    mesh's quadrature points fit in one `_BLOCK`, else block by block."""
+def _element_loads(mesh: Mesh1D, k: int, problem: Problem1D) -> tuple[np.ndarray, np.ndarray]:
+    """Per element of `mesh`, the loads of `_block_loads` as two arrays: the
+    (n, 2) hat loads and the (n, k - 1) bubble loads.
+
+    When the mesh's quadrature points fit in one `_BLOCK`, both are views of
+    that one pass's (n, k + 1) product; else block by block, each block's
+    rows written into the two arrays, so no (n, k + 1) array is made and the
+    bubble loads own their memory.
+    """
     lengths, lefts = mesh.gaps, mesh.nodes[:-1]
     points = k + _ASSEMBLY_EXTRA_POINTS
     if mesh.n_elements * points <= _BLOCK:
-        return _block_loads(lengths, lefts, k, problem)
-    loads = np.empty((mesh.n_elements, k + 1))
+        loads = _block_loads(lengths, lefts, k, problem)
+        return loads[:, :2], loads[:, 2:]
+    hats = np.empty((mesh.n_elements, 2))
+    bubbles = np.empty((mesh.n_elements, k - 1))
 
     def load(elements: slice) -> None:
-        loads[elements] = _block_loads(lengths[elements], lefts[elements], k, problem)
+        loads = _block_loads(lengths[elements], lefts[elements], k, problem)
+        hats[elements] = loads[:, :2]
+        bubbles[elements] = loads[:, 2:]
 
     _each_block(load, [elements for _, elements in _blocks(1, mesh.n_elements, points, _BLOCK)])
-    return loads
+    return hats, bubbles
 
 
 def assemble_solve(mesh: Mesh1D, order: int, problem: Problem1D) -> FemSolution:
@@ -244,19 +260,25 @@ def assemble_solve(mesh: Mesh1D, order: int, problem: Problem1D) -> FemSolution:
     element slopes s, so the slopes are a constant minus the running sum of
     the vertex loads; u(1) = 0, i.e. sum_e h_e s_e = 0, fixes the constant.
     Bubble j of element e decouples: b_ej / h_e = l(phi_ej).
+
+    The bubble loads are scaled in place into the bubbles (see
+    `_element_loads`): on the one-pass path they are a view of the (n, k + 1)
+    load array, whose hat columns the solve then keeps alive; on the block
+    walker's path they own their bytes, and the (n, 2) hat loads are freed
+    as soon as the vertex loads are summed.
     """
     k = _checked_count(order, "order", maximum=MAX_ORDER)
-    loads = _element_loads(mesh, k, problem)
+    hats, bubbles = _element_loads(mesh, k, problem)
     lengths = mesh.gaps
 
     vertex_loads = np.zeros(mesh.n_elements)
-    np.add(loads[:-1, 1], loads[1:, 0], out=vertex_loads[1:])
+    np.add(hats[:-1, 1], hats[1:, 0], out=vertex_loads[1:])
+    del hats  # on the block walker's path, this frees the hat loads
     passed = vertex_loads.cumsum()
     # a numpy reduction, not a BLAS dot: OpenBLAS splits long dots across
     # its threads, so their rounding would depend on the thread count
     slopes = np.add.reduce(lengths * passed) / lengths.sum() - passed
     # scaled in place, so the solve holds no second (n, k - 1) array
-    bubbles = loads[:, 2:]
     bubbles *= lengths[:, None]
     return object.__new__(FemSolution)._store(k, mesh, slopes, bubbles)
 
@@ -338,6 +360,7 @@ def h1_errors(
         # u_h, then u_h - u, then its square
         diff = coeffs @ values.T
         ddiff = slope_coeffs @ derivs[:, 1:].T
+        del coeffs, slope_coeffs  # not held through the problem's evaluations
         diff -= _problem_values(problem, "exact_solution", x_quad)
         ddiff -= _problem_values(problem, "exact_derivative", x_quad)
         diff *= diff
@@ -374,13 +397,14 @@ def galerkin_residual(solution: FemSolution, problem: Problem1D) -> float:
     """
     k = solution.order
     _, weights, _, derivs = _reference_element(k, _ASSEMBLY_EXTRA_POINTS)
-    loads = _element_loads(solution.mesh, k, problem)
+    hats, bubbles = _element_loads(solution.mesh, k, problem)
     coeffs = _coefficients(_vertex_values(solution.slopes, solution.mesh.gaps), solution.bubbles)
     duh = coeffs @ derivs.T  # d/dt of u_h at the points
     actions = ((duh * weights) @ derivs) / solution.mesh.gaps[:, None]
 
-    def interior(rows):  # one entry per interior vertex, then one per bubble
-        return np.concatenate((rows[:-1, 1] + rows[1:, 0], rows[:, 2:].ravel()))
+    def interior(hat_rows, bubble_rows):  # one entry per interior vertex, then one per bubble
+        return np.concatenate((hat_rows[:-1, 1] + hat_rows[1:, 0], bubble_rows.ravel()))
 
-    scale = float(np.abs(interior(loads)).max(initial=0.0)) or 1.0
-    return float(np.abs(interior(loads - actions)).max(initial=0.0) / scale)
+    scale = float(np.abs(interior(hats, bubbles)).max(initial=0.0)) or 1.0
+    residuals = interior(hats - actions[:, :2], bubbles - actions[:, 2:])
+    return float(np.abs(residuals).max(initial=0.0) / scale)
